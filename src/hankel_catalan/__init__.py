@@ -6,6 +6,8 @@ beta products, explicit polynomial) plus series and quadrature cross-checks
 of the generating functions and the underlying weight.
 """
 
+from types import ModuleType as _ModuleType
+
 from .genfunc import (
     JacobiParams,
     PoleNotCancelled,
@@ -23,11 +25,15 @@ from .hankel import (
     NonIntegerResult,
     SurdState,
     VerificationReport,
+    ZeroLeadingMinor,
     fibonacci_check,
     h_closed_form,
+    h_closed_forms,
     h_polynomial_form,
     hankel_det,
+    hankel_minors,
     lemma_identities,
+    odd_fibonacci,
     surd_states,
 )
 from .opoly import (
@@ -41,6 +47,7 @@ from .opoly import (
     chain_coeffs,
     gautschi_divide,
     h_from_products,
+    h_products,
     hat_stage,
     jfraction_series,
     lambda_closed,
@@ -67,7 +74,7 @@ from .series import (
     ZeroLeadingCoefficient,
     geometric,
 )
-from .verify import verify_cell, verify_grid
+from .verify import verify_cell, verify_grid, verify_row
 from .weight import (
     DomainError,
     QuadratureConfig,
@@ -78,6 +85,11 @@ from .weight import (
     weight_eval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: Every public name imported above; the submodules themselves are not exported.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 
 __version__ = "0.1.0"

@@ -19,9 +19,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .genfunc import PoleNotCancelled, big_g_series, f_series, rho_series
+from .hankel import odd_fibonacci
 from .opoly import chain_coeffs, stieltjes_from_moments
 from .sequences import a_sequence
-from .verify import ROUTES, first_mismatch, verify_cell, verify_grid
+from .verify import ROUTES, first_mismatch, verify_grid, verify_row
 from .weight import QuadratureConfig, WeightSpec, moment_quadrature
 
 DEFAULT_ORDER_ENV = "HF_DEFAULT_ORDER"
@@ -104,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="four-route agreement grid")
     p_verify.add_argument("--L", type=_l_range, required=True, metavar="RANGE")
     p_verify.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p_verify.add_argument("--jobs", type=int, default=1)
     add_format(p_verify)
 
     p_rec = sub.add_parser("recurrence", help="three-term recurrence coefficients")
@@ -149,15 +149,14 @@ def cmd_hankel(args) -> CommandResult:
     routes = ROUTES if args.method == "all" else (args.method,)
     rows = []
     mismatch: Optional[dict[str, object]] = None
-    for n in range(1, args.n + 1):
-        report = verify_cell(args.L, n, routes)
-        row: dict[str, object] = {"n": n}
+    for report in verify_row(args.L, args.n, routes):
+        row: dict[str, object] = {"n": report.n}
         for name, value in report.computed().items():
             row[name] = str(value)
         if args.method == "all":
             row["agree"] = report.agree
             if not report.agree and mismatch is None:
-                mismatch = {"L": str(args.L), "n": n, **{k: str(v) for k, v in report.computed().items()}}
+                mismatch = {"L": str(args.L), "n": report.n, **{k: str(v) for k, v in report.computed().items()}}
         rows.append(row)
     result = CommandResult(
         "hankel", {"L": str(args.L), "n": str(args.n), "method": args.method}, rows
@@ -168,23 +167,12 @@ def cmd_hankel(args) -> CommandResult:
     return result
 
 
-def _odd_fibonacci(n_max: int) -> list[int]:
-    """F_3, F_5, ..., F_{2*n_max+1}."""
-    out = []
-    prev, cur = 0, 1  # F_0, F_1
-    for _ in range(n_max):
-        prev, cur = cur, cur + prev
-        prev, cur = cur, cur + prev
-        out.append(cur)
-    return out
-
-
 def cmd_verify(args) -> CommandResult:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
-    reports = verify_grid(args.L, args.n_max, jobs=args.jobs)
+    reports = verify_grid(args.L, args.n_max)
     with_fib = any(L == 1 for L in args.L)
-    fib = _odd_fibonacci(args.n_max) if with_fib else []
+    fib = odd_fibonacci(args.n_max) if with_fib else []
     rows = []
     for report in reports:
         row: dict[str, object] = {"L": str(report.L), "n": report.n}
@@ -193,11 +181,7 @@ def cmd_verify(args) -> CommandResult:
         if with_fib:
             row["fibonacci"] = str(fib[report.n - 1]) if report.L == 1 else ""
         rows.append(row)
-    params = {
-        "L": ",".join(str(L) for L in args.L),
-        "n_max": str(args.n_max),
-        "jobs": str(args.jobs),
-    }
+    params = {"L": ",".join(str(L) for L in args.L), "n_max": str(args.n_max)}
     result = CommandResult("verify", params, rows)
     bad = first_mismatch(reports)
     if bad is not None:
@@ -388,6 +372,10 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Exact values may run to any number of digits; lift Python's default
+    # 4300-digit cap on int <-> str conversion where it exists.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()

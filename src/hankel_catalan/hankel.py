@@ -1,7 +1,9 @@
 """Hankel determinants and the closed-form transform of the target sequence.
 
-Determinants are computed exactly: fraction-free (Bareiss) elimination over
-the integers, falling back to a common-denominator scaling for rational
+Determinants are computed exactly by fraction-free (Bareiss) elimination over
+the integers. For the sequence's own window one pass without row swaps gives
+every leading minor h_1 .. h_N at once; an arbitrary window gets one pivoting
+elimination per determinant, after a common-denominator scaling for rational
 entries. The closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs entirely
 on rational carriers of the surd expressions, so sqrt(L^2+4) never appears:
 phi_n, psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}.
@@ -20,6 +22,11 @@ from .sequences import RationalLike, SequenceWindow, as_rational, binomial, wind
 
 class InsufficientTerms(ValueError):
     """The supplied sequence window is too short for the requested determinant."""
+
+
+class ZeroLeadingMinor(ZeroDivisionError):
+    """A leading minor vanished: the matrix is not positive definite, and
+    elimination without row swaps cannot go on."""
 
 
 class NonIntegerResult(RuntimeWarning):
@@ -84,6 +91,45 @@ def hankel_det(seq: Union[SequenceWindow, Sequence[RationalLike]], n: int) -> Fr
     return Fraction(det, denom**n)
 
 
+def hankel_minors(window: SequenceWindow, n_max: int) -> list[Fraction]:
+    """Leading minors h_1 .. h_n_max of the window's Hankel matrix in one pass.
+
+    For L = p/q the denominator of a_k divides q^{k+1}, so entry (i, j) is
+    scaled by q^{i+j+1} to an integer. Bareiss elimination without row swaps
+    then has the scaled k x k leading minor h_k * q^{k^2} as its k-th pivot.
+    The scaled matrix and every elimination stage stay symmetric, so only
+    the upper triangle is updated. The moment matrix of a positive measure
+    has no zero pivot; a hand-made window may, and raises ZeroLeadingMinor.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if len(window.terms) < 2 * n_max - 1:
+        raise InsufficientTerms(f"need a_0..a_{2 * n_max - 2}, window has {len(window.terms)} terms")
+    q = window.params.L.denominator
+    scaled = []
+    for k, term in enumerate(window.terms[: 2 * n_max - 1]):
+        value = term * q ** (k + 1)
+        if value.denominator != 1:
+            raise ValueError(f"a_{k} * {q}^{k + 1} = {value} is not an integer")
+        scaled.append(value.numerator)
+    rows = [scaled[i : i + n_max] for i in range(n_max)]
+    minors = []
+    prev = 1
+    for k in range(n_max):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise ZeroLeadingMinor(f"leading minor h_{k + 1} vanishes")
+        minors.append(Fraction(pivot, q ** ((k + 1) ** 2)))
+        for i in range(k + 1, n_max):
+            row = rows[i]
+            factor = pivot_row[i]  # = rows[i][k] by symmetry
+            for j in range(i, n_max):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+        prev = pivot
+    return minors
+
+
 # -- integer carriers of the surd closed form --------------------------------
 
 
@@ -122,23 +168,42 @@ def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
     return states
 
 
-def h_closed_form(L: RationalLike, n: int) -> Fraction:
-    """Transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1.
+def _closed_value(Lf: Fraction, n: int, sigma: Fraction) -> Fraction:
+    """L^{n(n-1)/2} * sigma_n / 2^{n+1}, warning when integer L gives a fraction.
 
     For integer L the result is provably an integer; a fractional outcome is
     reported as a NonIntegerResult warning because it would falsify the
-    closed form rather than indicate a caller error.
+    closed form rather than indicate a caller error. The warning names the
+    caller of the public function.
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    Lf = as_rational(L)
-    sigma = surd_states(Lf, n)[n].sigma
     value = Lf ** (n * (n - 1) // 2) * sigma / 2 ** (n + 1)
     if Lf.denominator == 1 and value.denominator != 1:
         warnings.warn(
-            f"h_{n}({Lf}) = {value} is not an integer", NonIntegerResult, stacklevel=2
+            f"h_{n}({Lf}) = {value} is not an integer", NonIntegerResult, stacklevel=3
         )
     return value
+
+
+def h_closed_form(L: RationalLike, n: int) -> Fraction:
+    """Transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    Lf = as_rational(L)
+    return _closed_value(Lf, n, surd_states(Lf, n)[n].sigma)
+
+
+def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
+    """Closed-form values h_1 .. h_n_max from one run of the carrier recurrence."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    Lf = as_rational(L)
+    states = surd_states(Lf, n_max)
+    values = []
+    # A loop, not a comprehension: before Python 3.12 a comprehension has its
+    # own frame, which would shift the warning's stacklevel.
+    for n in range(1, n_max + 1):
+        values.append(_closed_value(Lf, n, states[n].sigma))
+    return values
 
 
 def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
@@ -162,19 +227,20 @@ def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
     return Lf ** (n * (n - 1) // 2) * (odd_sum + even_sum) / 2**n
 
 
-def fibonacci_check(n_max: int) -> bool:
-    """True iff the L=1 transform equals the odd-indexed Fibonacci numbers.
+def odd_fibonacci(n_max: int) -> list[int]:
+    """F_3, F_5, ..., F_{2*n_max+1} by the standard integer recurrence."""
+    out = []
+    prev, cur = 0, 1  # F_0, F_1
+    for _ in range(n_max):
+        prev, cur = cur, cur + prev
+        prev, cur = cur, cur + prev
+        out.append(cur)
+    return out
 
-    h_n(1) must equal F_{2n+1} for 1 <= n <= n_max, with F computed by the
-    standard integer recurrence.
-    """
-    fib_prev, fib = 0, 1  # F_0, F_1
-    for n in range(1, n_max + 1):
-        fib_prev, fib = fib, fib + fib_prev  # advance to F_{2n}
-        fib_prev, fib = fib, fib + fib_prev  # advance to F_{2n+1}
-        if h_closed_form(1, n) != fib:
-            return False
-    return True
+
+def fibonacci_check(n_max: int) -> bool:
+    """True iff the L=1 transform h_n(1) equals F_{2n+1} for 1 <= n <= n_max."""
+    return h_closed_forms(1, n_max) == odd_fibonacci(n_max)
 
 
 def lemma_identities(L: RationalLike, j: int, k: int) -> bool:

@@ -284,20 +284,27 @@ def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
     return denom.reciprocal() * coeffs.beta[0]
 
 
-def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
-    """Hankel determinant as the product a_0^n beta_1^{n-1} ... beta_{n-1}.
+def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
+    """Hankel determinants h_1 .. h_n_max as products a_0^n beta_1^{n-1} ... beta_{n-1}.
 
     Computed in the running form h_n = (beta_0 beta_1 ... beta_{n-1}) h_{n-1}
-    with beta_0 = a_0; h_0 = 1.
+    with beta_0 = a_0 and h_0 = 1.
     """
-    if n > len(coeffs.beta):
-        raise InsufficientTerms(f"need beta_0..beta_{n - 1}, have {len(coeffs.beta)}")
+    if n_max > len(coeffs.beta):
+        raise InsufficientTerms(f"need beta_0..beta_{n_max - 1}, have {len(coeffs.beta)}")
+    values = []
     h = Fraction(1)
     running = Fraction(1)
-    for k in range(n):
+    for k in range(n_max):
         running *= coeffs.beta[k]
         h *= running
-    return h
+        values.append(h)
+    return values
+
+
+def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
+    """Hankel determinant h_n from the beta products; h_0 = 1."""
+    return h_products(coeffs, n)[-1] if n > 0 else Fraction(1)
 
 
 def norm_closed_form(L: RationalLike, n: int) -> Fraction:

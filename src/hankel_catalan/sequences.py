@@ -83,23 +83,29 @@ class SequenceWindow:
 def a_sequence(L: RationalLike, n_max: int) -> SequenceWindow:
     """Window a_0 .. a_n_max, with a_n = c(n;L) + c(n+1;L) and a_0 = L + 1.
 
-    The defining a_0 = L + 1 and the sum c(0;L) + c(1;L) must agree; a
-    mismatch would mean the triangle conventions are broken.
+    c(0;L) and c(1;L) come from the triangle; the defining a_0 = L + 1 and
+    their sum must agree, or the triangle conventions are broken. Later
+    c(n;L) follow the Narayana-polynomial recurrence
+        (n+1) c_n = (2n-1)(L+1) c_{n-1} - (n-2)(L-1)^2 c_{n-2},
+    run on the integers C_n = c_n q^n for L = p/q (c_n has degree n in L).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     params = SequenceParams(as_rational(L))
-    c_prev = gen_catalan(0, params.L)
-    c_next = gen_catalan(1, params.L)
-    if c_prev + c_next != params.L + 1:
-        raise InconsistentA0(
-            f"c(0)+c(1) = {c_prev + c_next} differs from L+1 = {params.L + 1}"
-        )
-    terms = [params.L + 1]
-    for n in range(1, n_max + 1):
-        c_prev, c_next = c_next, gen_catalan(n + 1, params.L)
-        terms.append(c_prev + c_next)
-    return SequenceWindow(params=params, terms=tuple(terms))
+    c0, c1 = gen_catalan(0, params.L), gen_catalan(1, params.L)
+    if c0 + c1 != params.L + 1:
+        raise InconsistentA0(f"c(0)+c(1) = {c0 + c1} differs from L+1 = {params.L + 1}")
+    p, q = params.L.numerator, params.L.denominator
+    plus, minus_sq = p + q, (p - q) ** 2
+    scaled = [int(c0), int(c1 * q)]
+    for n in range(2, n_max + 2):
+        # exact: C_n is an integer because c_n has integer coefficients in L
+        step = (2 * n - 1) * plus * scaled[n - 1] - (n - 2) * minus_sq * scaled[n - 2]
+        scaled.append(step // (n + 1))
+    terms = tuple(
+        Fraction(scaled[n] * q + scaled[n + 1], q ** (n + 1)) for n in range(n_max + 1)
+    )
+    return SequenceWindow(params=params, terms=terms)
 
 
 def window_terms(seq: Union[SequenceWindow, Sequence[RationalLike]]) -> tuple[Fraction, ...]:

@@ -2,64 +2,78 @@
 
 Every cell (L, n) computes the transform by up to four independent routes
 (exact determinant, surd closed form, beta-product reconstruction, explicit
-polynomial) and records whether they agree exactly. Cells are pure, so the
-grid may fan out across threads; reports are always returned sorted by
-(L, n), which keeps output deterministic regardless of parallelism.
+polynomial) and records whether they agree exactly. The unit of work is a
+row: one L and every n up to n_max. Each route makes one pass over the row
+(one window and one elimination, one carrier run, one modification chain)
+and no route reads another's values. Reports are sorted by (L, n).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hankel import VerificationReport, h_closed_form, h_polynomial_form, hankel_det
-from .opoly import chain_coeffs, h_from_products
+from .hankel import VerificationReport, h_closed_forms, h_polynomial_form, hankel_minors
+from .opoly import chain_coeffs, h_products
 from .sequences import RationalLike, a_sequence, as_rational
 
 ROUTES = ("det", "closed", "product", "poly")
 
+#: VerificationReport attribute of each route.
+_FIELDS = {"det": "h_det", "closed": "h_closed", "product": "h_product", "poly": "h_poly"}
+
+
+def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
+    """h_1 .. h_n_max of one route."""
+    if route == "det":
+        return hankel_minors(a_sequence(Lf, 2 * n_max - 2), n_max)
+    if route == "closed":
+        return h_closed_forms(Lf, n_max)
+    if route == "product":
+        coeffs, _ = chain_coeffs(Lf, n_max)
+        return h_products(coeffs, n_max)
+    return [h_polynomial_form(Lf, n) for n in range(1, n_max + 1)]
+
+
+def verify_row(
+    L: RationalLike, n_max: int, routes: Sequence[str] = ROUTES
+) -> list[VerificationReport]:
+    """Reports for (L, 1) .. (L, n_max), each route computed once for the row.
+
+    A report's `elapsed` holds, per route, the seconds that route spent on
+    the whole row.
+    """
+    Lf = as_rational(L)
+    if n_max < 1:
+        raise ValueError("n must be positive")
+    reports = [VerificationReport(L=Lf, n=n) for n in range(1, n_max + 1)]
+    for route in ROUTES:
+        if route not in routes:
+            continue
+        start = time.perf_counter()
+        values = _row_values(Lf, n_max, route)
+        elapsed = time.perf_counter() - start
+        for report, value in zip(reports, values):
+            setattr(report, _FIELDS[route], value)
+            report.elapsed[route] = elapsed
+    for report in reports:
+        report.agree = len(set(report.computed().values())) <= 1
+    return reports
+
 
 def verify_cell(L: RationalLike, n: int, routes: Sequence[str] = ROUTES) -> VerificationReport:
     """Compute one (L, n) transform value by the requested routes."""
-    Lf = as_rational(L)
-    if n < 1:
-        raise ValueError("n must be positive")
-    report = VerificationReport(L=Lf, n=n)
-    if "det" in routes:
-        start = time.perf_counter()
-        window = a_sequence(Lf, 2 * n - 2)
-        report.h_det = hankel_det(window, n)
-        report.elapsed["det"] = time.perf_counter() - start
-    if "closed" in routes:
-        start = time.perf_counter()
-        report.h_closed = h_closed_form(Lf, n)
-        report.elapsed["closed"] = time.perf_counter() - start
-    if "product" in routes:
-        start = time.perf_counter()
-        coeffs, _ = chain_coeffs(Lf, n)
-        report.h_product = h_from_products(coeffs, n)
-        report.elapsed["product"] = time.perf_counter() - start
-    if "poly" in routes:
-        start = time.perf_counter()
-        report.h_poly = h_polynomial_form(Lf, n)
-        report.elapsed["poly"] = time.perf_counter() - start
-    report.agree = len(set(report.computed().values())) <= 1
-    return report
+    return verify_row(L, n, routes)[-1]
 
 
-def verify_grid(
-    L_values: Iterable[RationalLike], n_max: int, jobs: int = 1
-) -> list[VerificationReport]:
+def verify_grid(L_values: Iterable[RationalLike], n_max: int) -> list[VerificationReport]:
     """All-routes reports for every (L, n) with 1 <= n <= n_max, sorted by (L, n)."""
-    cells = [(as_rational(L), n) for L in L_values for n in range(1, n_max + 1)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda cell: verify_cell(*cell), cells))
-    else:
-        reports = [verify_cell(L, n) for L, n in cells]
-    reports.sort(key=lambda rep: (rep.L, rep.n))
-    return reports
+    return [
+        report
+        for L in sorted(as_rational(L) for L in L_values)
+        for report in verify_row(L, n_max)
+    ]
 
 
 def first_mismatch(reports: Sequence[VerificationReport]) -> VerificationReport | None:

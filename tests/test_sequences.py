@@ -81,6 +81,12 @@ def test_positivity_and_integrality():
         assert all(term.denominator == 1 for term in window.terms)
 
 
+@pytest.mark.parametrize("L", [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)])
+def test_recurrence_window_matches_the_triangle(L):
+    expected = [gen_catalan(n, L) + gen_catalan(n + 1, L) for n in range(61)]
+    assert list(a_sequence(L, 60).terms) == expected
+
+
 def test_rational_parameter_window():
     window = a_sequence(Fraction(5, 2), 5)
     assert all(term > 0 for term in window.terms)

@@ -1,0 +1,112 @@
+import warnings
+from fractions import Fraction
+
+import pytest
+
+import hankel_catalan
+from hankel_catalan import hankel
+from hankel_catalan.hankel import (
+    InsufficientTerms,
+    NonIntegerResult,
+    SurdState,
+    ZeroLeadingMinor,
+    h_closed_form,
+    h_closed_forms,
+    hankel_det,
+    hankel_minors,
+    odd_fibonacci,
+)
+from hankel_catalan.opoly import chain_coeffs, h_from_products, h_products
+from hankel_catalan.sequences import SequenceParams, SequenceWindow, a_sequence
+from hankel_catalan.verify import ROUTES, verify_cell, verify_grid, verify_row
+
+ROW_L = [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)]
+
+
+@pytest.mark.parametrize("L", ROW_L)
+def test_one_elimination_gives_every_leading_minor(L):
+    N = 30
+    window = a_sequence(L, 2 * N - 2)
+    minors = hankel_minors(window, N)
+    assert minors == [hankel_det(window, n) for n in range(1, N + 1)]
+    assert minors == [h_closed_form(L, n) for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("L", ROW_L)
+def test_row_pass_matches_cell_by_cell(L):
+    row = verify_row(L, 20)
+    assert [report.n for report in row] == list(range(1, 21))
+    for report in row:
+        cell = verify_cell(L, report.n)
+        assert report.values() == cell.values()
+        assert report.agree and cell.agree
+        assert set(report.computed()) == set(ROUTES)
+
+
+@pytest.mark.parametrize("L", ROW_L)
+def test_row_helpers_match_their_single_value_forms(L):
+    coeffs, _ = chain_coeffs(L, 12)
+    assert h_products(coeffs, 12) == [h_from_products(coeffs, n) for n in range(1, 13)]
+    assert h_closed_forms(L, 12) == [h_closed_form(L, n) for n in range(1, 13)]
+    assert h_products(coeffs, 0) == h_closed_forms(L, 0) == hankel_minors(a_sequence(L, 0), 0) == []
+
+
+def test_vanishing_leading_minor_raises():
+    # h_1 = 1, h_2 = 1*1 - 1*1 = 0: elimination cannot pass the second pivot
+    window = SequenceWindow(SequenceParams(Fraction(1)), tuple(map(Fraction, (1, 1, 1, 2, 5))))
+    assert hankel_minors(window, 1) == [1]
+    with pytest.raises(ZeroLeadingMinor):
+        hankel_minors(window, 3)
+    with pytest.raises(ZeroLeadingMinor):
+        hankel_minors(window, 2)
+
+
+def test_minors_reject_bad_windows():
+    with pytest.raises(InsufficientTerms):
+        hankel_minors(a_sequence(3, 4), 4)
+    # a_1 = 1/9 is not an integer after scaling by q^2 = 4 for L = 1/2
+    window = SequenceWindow(SequenceParams(Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 9), Fraction(1)))
+    with pytest.raises(ValueError, match="not an integer"):
+        hankel_minors(window, 2)
+
+
+def test_row_and_cell_closed_forms_share_the_integrality_warning(monkeypatch):
+    def broken_states(L, n_max):
+        return [SurdState(n, Fraction(0), Fraction(0), Fraction(1)) for n in range(n_max + 1)]
+
+    monkeypatch.setattr(hankel, "surd_states", broken_states)
+    with pytest.warns(NonIntegerResult):
+        h_closed_form(3, 2)
+    with pytest.warns(NonIntegerResult):
+        h_closed_forms(3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_closed_forms(Fraction(1, 3), 2)  # rational L may give fractions
+
+
+def test_routes_subset_and_grid_order():
+    row = verify_row(Fraction(7, 3), 6, ("closed", "product"))
+    assert all(set(report.computed()) == {"closed", "product"} for report in row)
+    assert all(report.agree for report in row)
+    grid = verify_grid([3, Fraction(1, 2), 2], 4)
+    assert [(report.L, report.n) for report in grid] == [
+        (L, n) for L in (Fraction(1, 2), 2, 3) for n in range(1, 5)
+    ]
+    with pytest.raises(ValueError):
+        verify_row(2, 0)
+
+
+def test_odd_fibonacci():
+    assert odd_fibonacci(0) == []
+    assert odd_fibonacci(6) == [2, 5, 13, 34, 89, 233]
+
+
+def test_package_exports_names_not_modules():
+    from types import ModuleType
+
+    assert "hankel_minors" in hankel_catalan.__all__
+    assert "verify_row" in hankel_catalan.__all__
+    for name in hankel_catalan.__all__:
+        assert not isinstance(getattr(hankel_catalan, name), ModuleType), name
+    for module in ("genfunc", "hankel", "opoly", "sequences", "series", "verify", "weight"):
+        assert module not in hankel_catalan.__all__
