@@ -20,11 +20,9 @@ from .genfunc import (
     t_sum_identities,
 )
 from .hankel import (
-    HankelMatrix,
     InsufficientTerms,
     NonIntegerResult,
     SurdState,
-    VerificationReport,
     ZeroLeadingMinor,
     fibonacci_check,
     h_closed_form,
@@ -39,7 +37,6 @@ from .hankel import (
 from .opoly import (
     ChainStage,
     DivisionByZeroR,
-    GautschiState,
     RecurrenceCoeffs,
     ZeroNorm,
     base_stage,
@@ -74,7 +71,7 @@ from .series import (
     ZeroLeadingCoefficient,
     geometric,
 )
-from .verify import verify_cell, verify_grid, verify_row
+from .verify import VerificationReport, verify_cell, verify_grid, verify_row
 from .weight import (
     DomainError,
     QuadratureConfig,

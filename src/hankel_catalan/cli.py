@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,7 +22,7 @@ from .genfunc import PoleNotCancelled, big_g_series, f_series, rho_series
 from .hankel import odd_fibonacci
 from .opoly import chain_coeffs, stieltjes_from_moments
 from .sequences import a_sequence
-from .verify import ROUTES, first_mismatch, verify_grid, verify_row
+from .verify import ROUTES, VerificationReport, first_mismatch, verify_grid, verify_row
 from .weight import QuadratureConfig, WeightSpec, moment_quadrature
 
 DEFAULT_ORDER_ENV = "HF_DEFAULT_ORDER"
@@ -39,7 +39,6 @@ class CommandResult:
     rows: list[dict[str, object]] = field(default_factory=list)
     summary: dict[str, object] = field(default_factory=dict)
     status: str = "ok"
-    elapsed_ms: int = 0
 
 
 class UsageError(Exception):
@@ -79,7 +78,11 @@ def _l_range(text: str) -> list[Fraction]:
 
 
 def _default_terms() -> int:
-    return int(os.environ.get(DEFAULT_ORDER_ENV, "30"))
+    text = os.environ.get(DEFAULT_ORDER_ENV, "30")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{DEFAULT_ORDER_ENV} must be an integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hankel = sub.add_parser("hankel", help="Hankel transform values by any route")
     p_hankel.add_argument("--L", type=_positive_rational, required=True)
     p_hankel.add_argument("--n", type=int, required=True, metavar="N_MAX")
-    p_hankel.add_argument(
-        "--method", choices=("det", "closed", "product", "poly", "all"), default="all"
-    )
+    p_hankel.add_argument("--method", choices=(*ROUTES, "all"), default="all")
     add_format(p_hankel)
 
     p_verify = sub.add_parser("verify", help="four-route agreement grid")
@@ -143,27 +144,36 @@ def cmd_seq(args) -> CommandResult:
     return CommandResult("seq", {"L": str(args.L), "n": str(args.n)}, rows)
 
 
+def _flag_first_mismatch(result: CommandResult, reports: Sequence[VerificationReport]) -> bool:
+    """Mark the result as a mismatch at the first report whose routes disagree."""
+    bad = first_mismatch(reports)
+    if bad is None:
+        return False
+    result.status = "mismatch"
+    result.summary["first_mismatch"] = {
+        "L": str(bad.L),
+        "n": bad.n,
+        **{name: str(value) for name, value in bad.values.items()},
+    }
+    return True
+
+
 def cmd_hankel(args) -> CommandResult:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     routes = ROUTES if args.method == "all" else (args.method,)
+    reports = verify_row(args.L, args.n, routes)
     rows = []
-    mismatch: Optional[dict[str, object]] = None
-    for report in verify_row(args.L, args.n, routes):
+    for report in reports:
         row: dict[str, object] = {"n": report.n}
-        for name, value in report.computed().items():
-            row[name] = str(value)
+        row.update({name: str(value) for name, value in report.values.items()})
         if args.method == "all":
             row["agree"] = report.agree
-            if not report.agree and mismatch is None:
-                mismatch = {"L": str(args.L), "n": report.n, **{k: str(v) for k, v in report.computed().items()}}
         rows.append(row)
     result = CommandResult(
         "hankel", {"L": str(args.L), "n": str(args.n), "method": args.method}, rows
     )
-    if mismatch is not None:
-        result.status = "mismatch"
-        result.summary["first_mismatch"] = mismatch
+    _flag_first_mismatch(result, reports)
     return result
 
 
@@ -176,24 +186,16 @@ def cmd_verify(args) -> CommandResult:
     rows = []
     for report in reports:
         row: dict[str, object] = {"L": str(report.L), "n": report.n}
-        row.update({name: str(value) for name, value in report.computed().items()})
+        row.update({name: str(value) for name, value in report.values.items()})
         row["agree"] = report.agree
         if with_fib:
             row["fibonacci"] = str(fib[report.n - 1]) if report.L == 1 else ""
         rows.append(row)
     params = {"L": ",".join(str(L) for L in args.L), "n_max": str(args.n_max)}
     result = CommandResult("verify", params, rows)
-    bad = first_mismatch(reports)
-    if bad is not None:
-        result.status = "mismatch"
-        result.summary["first_mismatch"] = {
-            "L": str(bad.L),
-            "n": bad.n,
-            **{k: str(v) for k, v in bad.computed().items()},
-        }
-    elif with_fib:
+    if not _flag_first_mismatch(result, reports) and with_fib:
         fib_ok = all(
-            report.h_closed == fib[report.n - 1] for report in reports if report.L == 1
+            report.values["closed"] == fib[report.n - 1] for report in reports if report.L == 1
         )
         if not fib_ok:
             result.status = "mismatch"
@@ -207,9 +209,9 @@ def cmd_recurrence(args) -> CommandResult:
     n_max = args.n
     rows: list[dict[str, object]] = []
     mismatch = None
-    chain = state = moments = None
+    chain = r = moments = None
     if args.method in ("chain", "both"):
-        chain, state = chain_coeffs(args.L, n_max)
+        chain, r = chain_coeffs(args.L, n_max)
     if args.method in ("moments", "both"):
         window = a_sequence(args.L, 2 * n_max - 1)
         moments = stieltjes_from_moments(window, n_max)
@@ -218,7 +220,7 @@ def cmd_recurrence(args) -> CommandResult:
         if chain is not None:
             row["alpha"] = str(chain.alpha[k])
             row["beta"] = str(chain.beta[k])
-            row["r_prev"] = str(state.r[k])  # r_{k-1}; r[0] is the seed ratio
+            row["r_prev"] = str(r[k])  # r_{k-1}; r[0] is the seed ratio
         if moments is not None:
             key_alpha = "alpha_moments" if chain is not None else "alpha"
             key_beta = "beta_moments" if chain is not None else "beta"
@@ -233,8 +235,8 @@ def cmd_recurrence(args) -> CommandResult:
     result = CommandResult(
         "recurrence", {"L": str(args.L), "n": str(n_max), "method": args.method}, rows
     )
-    if state is not None:
-        result.summary["r_last"] = str(state.r[n_max])
+    if r is not None:
+        result.summary["r_last"] = str(r[n_max])
     if mismatch is not None:
         result.status = "mismatch"
         result.summary["first_mismatch"] = mismatch
@@ -276,21 +278,28 @@ def cmd_quad(args) -> CommandResult:
         raise UsageError("--moments must be nonnegative")
     if args.nodes < 16:
         raise UsageError("--nodes must be at least 16")
-    spec = WeightSpec.for_parameter(float(args.L))
-    cfg = QuadratureConfig(node_count=args.nodes, scheme=args.scheme)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError("--tol must be finite and positive")
     window = a_sequence(args.L, args.moments)
+    try:
+        spec = WeightSpec.for_parameter(float(args.L))
+        exact = [float(term) for term in window.terms]
+        # the nodes lie below hi, so x^n on them overflows no sooner than hi^n
+        math.pow(spec.support_hi, args.moments)
+    except (OverflowError, ValueError):  # ValueError: float(L) underflowed to 0
+        raise UsageError(f"--L {args.L} --moments {args.moments} leaves the float64 range")
+    cfg = QuadratureConfig(node_count=args.nodes, scheme=args.scheme)
     rows = []
     worst = 0.0
     for n in range(args.moments + 1):
         approx = moment_quadrature(spec, n, cfg)
-        exact = window.terms[n]
-        rel_err = abs(approx - float(exact)) / float(exact)
+        rel_err = abs(approx - exact[n]) / exact[n]
         worst = max(worst, rel_err)
         rows.append(
             {
                 "n": n,
                 "quad": f"{approx:.15e}",
-                "exact": str(exact),
+                "exact": str(window.terms[n]),
                 "rel_err": f"{rel_err:.3e}",
             }
         )
@@ -303,7 +312,7 @@ def cmd_quad(args) -> CommandResult:
     }
     result = CommandResult("quad", params, rows)
     result.summary["max_rel_err"] = f"{worst:.3e}"
-    if worst > args.tol:
+    if not worst <= args.tol:
         result.status = "mismatch"
         result.summary["first_mismatch"] = {"detail": f"max rel err {worst:.3e} over tol {args.tol:g}"}
     return result
@@ -313,8 +322,6 @@ def cmd_quad(args) -> CommandResult:
 
 
 def _render_json(result: CommandResult, out) -> None:
-    # elapsed_ms stays off the wire: identical invocations must produce
-    # byte-identical output.
     for row in result.rows:
         print(json.dumps(row, sort_keys=True), file=out)
     trailer = {
@@ -378,13 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
         result = COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result.elapsed_ms = int((time.perf_counter() - start) * 1000)
     render(result, args.format)
     return EXIT_OK if result.status == "ok" else EXIT_MISMATCH
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .sequences import RationalLike, SequenceWindow, as_rational, binomial, window_terms
 
@@ -31,27 +31,6 @@ class ZeroLeadingMinor(ZeroDivisionError):
 
 class NonIntegerResult(RuntimeWarning):
     """Integer L produced a non-integer transform value; falsifies the closed form."""
-
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    """n x n matrix with entry(i, j) = a_{i+j}; antidiagonals are constant."""
-
-    dim: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_terms(cls, seq: Union[SequenceWindow, Sequence[RationalLike]], n: int) -> "HankelMatrix":
-        terms = window_terms(seq)
-        if n < 1:
-            raise ValueError("matrix dimension must be positive")
-        if len(terms) < 2 * n - 1:
-            raise InsufficientTerms(f"need a_0..a_{2 * n - 2}, window has {len(terms)} terms")
-        rows = tuple(tuple(terms[i + j] for j in range(n)) for i in range(n))
-        return cls(dim=n, entries=rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -79,14 +58,18 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 def hankel_det(seq: Union[SequenceWindow, Sequence[RationalLike]], n: int) -> Fraction:
     """Exact n x n Hankel determinant of the window; h_0 = 1 by convention."""
+    if n < 0:
+        raise ValueError("matrix dimension must be nonnegative")
     if n == 0:
         return Fraction(1)
-    matrix = HankelMatrix.from_terms(seq, n)
+    terms = window_terms(seq)[: 2 * n - 1]
+    if len(terms) < 2 * n - 1:
+        raise InsufficientTerms(f"need a_0..a_{2 * n - 2}, window has {len(terms)} terms")
     denom = 1
-    for row in matrix.entries:
-        for value in row:
-            denom = denom * value.denominator // math.gcd(denom, value.denominator)
-    rows = [[int(v * denom) for v in row] for row in matrix.entries]
+    for value in terms:
+        denom = denom * value.denominator // math.gcd(denom, value.denominator)
+    scaled = [int(v * denom) for v in terms]
+    rows = [scaled[i : i + n] for i in range(n)]
     det = _bareiss_det(rows)
     return Fraction(det, denom**n)
 
@@ -266,28 +249,3 @@ def lemma_identities(L: RationalLike, j: int, k: int) -> bool:
         and sj.phi * sk.psihat == s_sum.psihat + scale * s_diff.psihat
         and sj.psihat * sk.phi == s_sum.psihat - scale * s_diff.psihat
     )
-
-
-@dataclass
-class VerificationReport:
-    """Per-(L, n) record of the transform computed by each route."""
-
-    L: Fraction
-    n: int
-    h_det: Optional[Fraction] = None
-    h_closed: Optional[Fraction] = None
-    h_product: Optional[Fraction] = None
-    h_poly: Optional[Fraction] = None
-    agree: bool = False
-    elapsed: dict[str, float] = field(default_factory=dict)
-
-    def values(self) -> dict[str, Optional[Fraction]]:
-        return {
-            "det": self.h_det,
-            "closed": self.h_closed,
-            "product": self.h_product,
-            "poly": self.h_poly,
-        }
-
-    def computed(self) -> dict[str, Fraction]:
-        return {name: v for name, v in self.values().items() if v is not None}

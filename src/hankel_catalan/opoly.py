@@ -68,13 +68,6 @@ class ChainStage:
     beta0_times_pi: bool = False
 
 
-@dataclass(frozen=True)
-class GautschiState:
-    """Auxiliary ratios r_{-1}, r_0, r_1, ... from the divide-by-x step."""
-
-    r: tuple[Fraction, ...]
-
-
 def base_stage(n_max: int) -> ChainStage:
     """Monic Chebyshev (second kind) coefficients: alpha = 0, beta_0 = pi/2, beta_n = 1/4."""
     beta = [Fraction(1, 2)] + [Fraction(1, 4)] * (n_max - 1)
@@ -157,8 +150,8 @@ def breve_coeffs(stage: ChainStage) -> ChainStage:
 
 def gautschi_divide(
     stage: ChainStage, L: RationalLike, n_max: int
-) -> tuple[RecurrenceCoeffs, GautschiState]:
-    """Divide the weight by x: final coefficients via the auxiliary ratios r_n.
+) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
+    """Divide the weight by x: final coefficients and the ratios (r_{-1}, r_0, ...).
 
     r_{-1} = -(L+1) (minus the mass of the divided weight), then
     r_n = -(alpha'_n + beta'_n / r_{n-1}). The outputs are
@@ -183,13 +176,10 @@ def gautschi_divide(
     for k in range(1, n_max):
         alpha.append(stage.alpha[k] + r[k + 1] - r[k])
         beta.append(stage.beta[k - 1] * r[k] / r[k - 1])
-    return (
-        RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="chain"),
-        GautschiState(r=tuple(r)),
-    )
+    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="chain"), tuple(r)
 
 
-def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, GautschiState]:
+def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
     """Run the exact part of the chain end to end: tilde -> breve -> divide by x."""
     Lf = as_rational(L)
     return gautschi_divide(breve_coeffs(tilde_coeffs(Lf, n_max)), Lf, n_max)

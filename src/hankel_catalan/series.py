@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .sequences import as_rational
+
 Scalar = Union[int, Fraction]
 
 #: Deepest admissible Laurent exponent.
@@ -30,10 +32,6 @@ class LaurentPoleError(ValueError):
     """An operation produced a pole deeper than 1/x."""
 
 
-def _frac(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 class TruncatedSeries:
     """A finite window  sum_{k=min_exp}^{order} c_k x^k  of an exact series.
 
@@ -45,7 +43,7 @@ class TruncatedSeries:
     __slots__ = ("_min_exp", "_coeffs", "_order")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int, min_exp: int = 0):
-        values = [_frac(c) for c in coeffs]
+        values = [as_rational(c) for c in coeffs]
         need = order - min_exp + 1
         if need < 1:
             raise ValueError(f"order {order} below minimum exponent {min_exp}")
@@ -148,7 +146,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "TruncatedSeries":
-        return self * (Fraction(1) / _frac(scalar))
+        return self * (Fraction(1) / as_rational(scalar))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k (k may be negative down to the supported depth)."""
@@ -156,7 +154,7 @@ class TruncatedSeries:
 
     def scale_argument(self, factor: Scalar) -> "TruncatedSeries":
         """Substitute x -> factor*x."""
-        f = _frac(factor)
+        f = as_rational(factor)
         coeffs = [c * f ** (self._min_exp + i) for i, c in enumerate(self._coeffs)]
         return TruncatedSeries(coeffs, self._order, self._min_exp)
 
@@ -213,7 +211,7 @@ class TruncatedSeries:
 
 def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
     """The series 1 + r*x + r^2*x^2 + ... through the given order."""
-    r = _frac(ratio)
+    r = as_rational(ratio)
     coeffs, c = [], Fraction(1)
     for _ in range(order + 1):
         coeffs.append(c)

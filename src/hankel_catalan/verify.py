@@ -10,18 +10,25 @@ and no route reads another's values. Reports are sorted by (L, n).
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hankel import VerificationReport, h_closed_forms, h_polynomial_form, hankel_minors
+from .hankel import h_closed_forms, h_polynomial_form, hankel_minors
 from .opoly import chain_coeffs, h_products
 from .sequences import RationalLike, a_sequence, as_rational
 
 ROUTES = ("det", "closed", "product", "poly")
 
-#: VerificationReport attribute of each route.
-_FIELDS = {"det": "h_det", "closed": "h_closed", "product": "h_product", "poly": "h_poly"}
+
+@dataclass
+class VerificationReport:
+    """Per-(L, n) record: each computed route's value, keyed in ROUTES order."""
+
+    L: Fraction
+    n: int
+    values: dict[str, Fraction]
+    agree: bool
 
 
 def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
@@ -39,26 +46,15 @@ def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
 def verify_row(
     L: RationalLike, n_max: int, routes: Sequence[str] = ROUTES
 ) -> list[VerificationReport]:
-    """Reports for (L, 1) .. (L, n_max), each route computed once for the row.
-
-    A report's `elapsed` holds, per route, the seconds that route spent on
-    the whole row.
-    """
+    """Reports for (L, 1) .. (L, n_max), each route computed once for the row."""
     Lf = as_rational(L)
     if n_max < 1:
         raise ValueError("n must be positive")
-    reports = [VerificationReport(L=Lf, n=n) for n in range(1, n_max + 1)]
-    for route in ROUTES:
-        if route not in routes:
-            continue
-        start = time.perf_counter()
-        values = _row_values(Lf, n_max, route)
-        elapsed = time.perf_counter() - start
-        for report, value in zip(reports, values):
-            setattr(report, _FIELDS[route], value)
-            report.elapsed[route] = elapsed
-    for report in reports:
-        report.agree = len(set(report.computed().values())) <= 1
+    columns = {route: _row_values(Lf, n_max, route) for route in ROUTES if route in routes}
+    reports = []
+    for n in range(1, n_max + 1):
+        values = {route: column[n - 1] for route, column in columns.items()}
+        reports.append(VerificationReport(Lf, n, values, len(set(values.values())) <= 1))
     return reports
 
 

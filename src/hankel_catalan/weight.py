@@ -1,14 +1,17 @@
 """Numerical validation of the weight function behind the moment functional.
 
 The derived weight is (1/2pi)(1 + 1/x) sqrt(4L - (x-L-1)^2) on the interval
-((sqrt L - 1)^2, (sqrt L + 1)^2). This module checks, in float64, that its
-moments really are a_n and that the final monic polynomials are orthogonal
-under it. Every integral is taken after the substitution
-x = L + 1 + 2 sqrt(L) cos(theta), which turns the integrand into a smooth
-(periodic) function of theta: the endpoint square-root singularities and the
-x^(-1/2) endpoint behaviour at L = 1 are absorbed exactly, so simple rules
-converge spectrally. Exactness lives elsewhere; a mismatch here beyond
-tolerance signals a transcription error in the weight, not rounding.
+((sqrt L - 1)^2, (sqrt L + 1)^2). For L >= 1 it is the whole measure; for
+L < 1 the weight's mass is only 2L against a_0 = L + 1, and the measure is
+the weight plus an atom (1-L) delta_0. This module checks, in float64, that
+the measure's moments really are a_n and that the final monic polynomials
+are orthogonal under it. Every integral over the weight is taken after the
+substitution x = L + 1 + 2 sqrt(L) cos(theta), which turns the integrand
+into a smooth (periodic) function of theta: the endpoint square-root
+singularities and the x^(-1/2) endpoint behaviour at L = 1 are absorbed
+exactly, so simple rules converge spectrally. Exactness lives elsewhere; a
+mismatch here beyond tolerance signals a transcription error in the weight,
+not rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .opoly import chain_coeffs, monic_polynomials
+from .opoly import chain_coeffs
 from .sequences import RationalLike, as_rational
 
 
@@ -81,18 +84,21 @@ def _theta_nodes(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _substituted(spec: WeightSpec, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae x(theta) and combined quadrature factor for integrals against the weight.
+    """Abscissae and combined quadrature factors for integrals against the measure.
 
-    integral f(x) w(x) dx = (2L/pi) integral_0^pi f(x(theta)) (1 + 1/x) sin^2(theta) dtheta.
+    integral f(x) w(x) dx = (2L/pi) integral_0^pi f(x(theta)) (1 + 1/x) sin^2(theta) dtheta,
+    and for L < 1 the atom adds the node x = 0 with factor 1 - L.
     """
     theta, w = _theta_nodes(cfg)
     x = spec.L + 1.0 + 2.0 * math.sqrt(spec.L) * np.cos(theta)
     factor = (2.0 * spec.L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2
+    if spec.L < 1.0:
+        return np.append(x, 0.0), np.append(w * factor, 1.0 - spec.L)
     return x, w * factor
 
 
 def moment_quadrature(spec: WeightSpec, n: int, cfg: QuadratureConfig) -> float:
-    """Approximate the n-th moment of the weight."""
+    """Approximate the n-th moment of the measure."""
     x, w = _substituted(spec, cfg)
     return float(w @ x**n)
 
@@ -100,7 +106,7 @@ def moment_quadrature(spec: WeightSpec, n: int, cfg: QuadratureConfig) -> float:
 def polynomial_quadrature(
     spec: WeightSpec, coeffs: Sequence, cfg: QuadratureConfig
 ) -> float:
-    """Integral of a polynomial (ascending coefficients) against the weight."""
+    """Integral of a polynomial (ascending coefficients) against the measure."""
     x, w = _substituted(spec, cfg)
     values = np.polynomial.polynomial.polyval(x, np.array([float(c) for c in coeffs]))
     return float(w @ values)
@@ -109,23 +115,24 @@ def polynomial_quadrature(
 def orthogonality_check(L: RationalLike, n_max: int, cfg: QuadratureConfig) -> float:
     """Largest normalized off-diagonal inner product among Q_0 .. Q_{n_max}.
 
-    The polynomials come from the exact chain coefficients; each pair
-    integral is divided by the product of the quadrature norms, so the
+    The polynomials come from the exact chain coefficients and are evaluated
+    on the nodes by their three-term recurrence in float64; monomial
+    coefficients would lose digits to cancellation as n grows. Each
+    pair integral is divided by the product of the quadrature norms, so the
     result is a dimensionless residual that should sit at quadrature noise.
     """
     Lf = as_rational(L)
     coeffs, _ = chain_coeffs(Lf, max(n_max, 1))
-    polys = monic_polynomials(coeffs, n_max)
     spec = WeightSpec.for_parameter(float(Lf))
     x, w = _substituted(spec, cfg)
-    values = [
-        np.polynomial.polynomial.polyval(x, np.array([float(c) for c in poly]))
-        for poly in polys
-    ]
-    norms = [math.sqrt(float(w @ (v * v))) for v in values]
-    worst = 0.0
-    for i in range(n_max + 1):
-        for j in range(i + 1, n_max + 1):
-            residual = abs(float(w @ (values[i] * values[j]))) / (norms[i] * norms[j])
-            worst = max(worst, residual)
-    return worst
+    values = np.empty((n_max + 1, x.size))
+    values[0] = 1.0
+    for k in range(n_max):
+        # Q_{k+1} = (x - alpha_k) Q_k - beta_k Q_{k-1}, with Q_{-1} = 0
+        prev = values[k - 1] if k else 0.0
+        values[k + 1] = (x - float(coeffs.alpha[k])) * values[k] - float(coeffs.beta[k]) * prev
+    gram = (values * w) @ values.T
+    norms = np.sqrt(np.diag(gram))
+    residual = np.abs(gram) / np.outer(norms, norms)
+    np.fill_diagonal(residual, 0.0)
+    return float(residual.max())

@@ -38,8 +38,8 @@ def test_criterion_1_four_route_agreement_grid():
     start = time.perf_counter()
     reports = verify_grid(range(1, 9), 12)
     elapsed = time.perf_counter() - start
-    complete = all(len(r.computed()) == 4 for r in reports)
-    exact = all(len(set(r.computed().values())) == 1 for r in reports)
+    complete = all(len(r.values) == 4 for r in reports)
+    exact = all(len(set(r.values.values())) == 1 for r in reports)
     ok = len(reports) == 96 and complete and exact and elapsed < 30.0
     _verdict(f"1. four exact routes agree on L=1..8, n<=12 ({elapsed:.2f}s)", ok)
 
@@ -58,7 +58,7 @@ def test_criterion_2_paper_golden_vectors():
         fib.append(fib[-1] + fib[-2])
     ok = ok and all(h_closed_form(1, n) == fib[2 * n + 1] for n in range(1, 16))
 
-    coeffs, state = chain_coeffs(4, 3)
+    coeffs, r = chain_coeffs(4, 3)
     ok = ok and coeffs.alpha[0] == Fraction(24, 5)
     ok = ok and coeffs.beta[1] == Fraction(104, 25)
     ok = ok and coeffs.alpha[1] == Fraction(323, 65)
@@ -67,7 +67,7 @@ def test_criterion_2_paper_golden_vectors():
 
     stage = tilde_coeffs(4, 2)
     ok = ok and stage.alpha[0] == Fraction(17, 3) and stage.beta[1] == Fraction(32, 9)
-    ok = ok and state.r == (
+    ok = ok and r == (
         Fraction(-5),
         Fraction(-13, 15),
         Fraction(-51, 52),
@@ -126,9 +126,9 @@ def test_criterion_5_product_identities_and_ratio_closed_form():
         for k in range(21):
             for j in range(k + 1):
                 ok = ok and lemma_identities(L, j, k)
-        _, state = chain_coeffs(L, 16)
+        _, r = chain_coeffs(L, 16)
         for n in range(16):
-            ok = ok and state.r[n + 1] == r_closed_form(L, n)
+            ok = ok and r[n + 1] == r_closed_form(L, n)
     _verdict("5. surd product identities (j<=k<=20) and ratio closed form (n<=15)", ok)
 
 

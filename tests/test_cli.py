@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hankel_catalan.cli import main
 
@@ -163,3 +165,99 @@ def test_usage_errors_exit_one(capsys):
     assert info.value.code == 1
     assert main(["hankel", "--L", "2", "--n", "0"]) == 1
     assert main(["series", "--L", "2", "--terms", "0"]) == 1
+
+
+@pytest.mark.parametrize("L", ["1/2", "1/10"])
+def test_quad_below_one_counts_the_atom_at_zero(capsys, L):
+    code, out = run(capsys, ["quad", "--L", L, "--format", "json"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["series", "--L", "2"], "abc"),
+        (["quad", "--L", "8", "--moments", "300"], None),
+        (["quad", "--L", "1e400"], None),
+        (["quad", "--L", "1/2", "--tol", "nan"], None),
+        (["quad", "--L", "2", "--tol", "-1"], None),
+    ],
+)
+def test_bad_input_exits_one_with_a_message(capsys, monkeypatch, argv, order):
+    if order is not None:
+        monkeypatch.setenv("HF_DEFAULT_ORDER", order)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("hankel-catalan: error: ")
+
+
+_NUMBER = st.integers(-3, 15).map(str)
+_L = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 40), st.integers(0, 12)),
+    st.text(max_size=4),
+)
+_L_RANGE = st.one_of(
+    _L,
+    st.builds("{}..{}".format, st.integers(-1, 6), st.integers(-1, 6)),
+    st.lists(_L, min_size=1, max_size=3).map(",".join),
+)
+#: Every option of each subcommand with a strategy for its value. The first
+#: _REQUIRED[command] of them are required and always given.
+_OPTIONS = {
+    "seq": [("--L", _L), ("--n", _NUMBER)],
+    "hankel": [("--L", _L), ("--n", _NUMBER), ("--method", st.sampled_from(["det", "closed", "product", "poly", "all"]))],
+    "verify": [("--L", _L_RANGE), ("--n-max", _NUMBER)],
+    "recurrence": [("--L", _L), ("--n", _NUMBER), ("--method", st.sampled_from(["chain", "moments", "both"]))],
+    "series": [("--L", _L), ("--terms", _NUMBER), ("--which", st.sampled_from(["G", "F", "rho"]))],
+    "quad": [
+        ("--L", _L),
+        ("--moments", st.integers(-2, 300).map(str)),
+        ("--nodes", st.integers(16, 5000).map(str)),
+        ("--tol", st.one_of(st.floats().map(repr), st.sampled_from(["1e-8", "0", "inf", "-nan"]))),
+        ("--scheme", st.sampled_from(["theta-midpoint", "theta-gauss"])),
+    ],
+}
+_REQUIRED = {"seq": 2, "hankel": 2, "verify": 1, "recurrence": 2, "series": 1, "quad": 1}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for index, (flag, values) in enumerate(_OPTIONS[command]):
+        if index < _REQUIRED[command] or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if argv[-2:] == ["--scheme", "theta-gauss"]:
+        # Gauss-Legendre nodes are rebuilt for every moment at O(nodes^2); keep them few
+        argv += ["--nodes", draw(st.integers(16, 100).map(str))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    argv=_argv(),
+    order=st.one_of(
+        st.none(),
+        st.integers(-3, 40).map(str),
+        # no digits, so no huge term count; no NUL or surrogate, which no environment holds
+        st.text(st.characters(exclude_categories=["Nd", "Cs"], exclude_characters="\x00"), max_size=4),
+    ),
+)
+@example(argv=["series", "--L", "2"], order="abc")
+def test_any_argv_exits_by_the_contract(capsys, monkeypatch, argv, order):
+    if order is None:
+        monkeypatch.delenv("HF_DEFAULT_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("HF_DEFAULT_ORDER", order)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --help or a usage error
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -100,8 +100,8 @@ def test_breve_product_telescopes(L):
 
 
 def test_gautschi_golden_l4():
-    coeffs, state = chain_coeffs(4, 3)
-    assert state.r == (
+    coeffs, r = chain_coeffs(4, 3)
+    assert r == (
         Fraction(-5),
         Fraction(-13, 15),
         Fraction(-51, 52),
@@ -119,8 +119,8 @@ def test_gautschi_requires_breve_stage():
 
 @pytest.mark.parametrize("L", range(1, 9))
 def test_first_ratio_closed_form(L):
-    _, state = chain_coeffs(L, 2)
-    assert state.r[1] == Fraction(-(L * L + 2 * L + 2), (L + 1) * (L + 2))
+    _, r = chain_coeffs(L, 2)
+    assert r[1] == Fraction(-(L * L + 2 * L + 2), (L + 1) * (L + 2))
 
 
 def test_r_closed_form_values():
@@ -130,10 +130,10 @@ def test_r_closed_form_values():
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
 def test_r_recursion_matches_closed_form(L):
-    _, state = chain_coeffs(L, 16)
+    _, r = chain_coeffs(L, 16)
     for n in range(16):
-        assert state.r[n + 1] == r_closed_form(L, n)
-        assert state.r[n + 1] < 0
+        assert r[n + 1] == r_closed_form(L, n)
+        assert r[n + 1] < 0
 
 
 def test_stieltjes_golden_l4():
