@@ -28,6 +28,7 @@ from .hankel import (
     h_closed_form,
     h_closed_forms,
     h_polynomial_form,
+    h_polynomial_forms,
     hankel_det,
     hankel_minors,
     lemma_identities,

@@ -189,25 +189,45 @@ def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
     return values
 
 
-def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
-    """Transform value as an explicit polynomial in L.
+def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
+    """Transform values h_1 .. h_n_max as explicit polynomials in L.
 
     Expands the surd closed form by the binomial theorem, leaving
     2^{-n} L^{n(n-1)/2} * [ sum_i C(n,2i+1) L (L+2)^{n-2i-1} (L^2+4)^i
                           + sum_i C(n,2i)   (L+2)^{n-2i}     (L^2+4)^i ].
+    For L = p/q every term of the bracket has denominator q^n, so the sums
+    run over integers, with the powers of p + 2q and p^2 + 4q^2 tabulated
+    once for the row.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    Lf = as_rational(L)
+    p, q = Lf.numerator, Lf.denominator
+    shifted = [1]  # (p + 2q)^k = q^k (L+2)^k
+    squared = [1]  # (p^2 + 4q^2)^i = q^{2i} (L^2+4)^i
+    for _ in range(n_max):
+        shifted.append(shifted[-1] * (p + 2 * q))
+    for _ in range(n_max // 2):
+        squared.append(squared[-1] * (p * p + 4 * q * q))
+    values = []
+    for n in range(1, n_max + 1):
+        odd_sum = sum(
+            binomial(n, 2 * i + 1) * p * shifted[n - 2 * i - 1] * squared[i]
+            for i in range((n - 1) // 2 + 1)
+        )
+        even_sum = sum(
+            binomial(n, 2 * i) * shifted[n - 2 * i] * squared[i] for i in range(n // 2 + 1)
+        )
+        power = n * (n - 1) // 2
+        values.append(Fraction(p**power * (odd_sum + even_sum), q ** (power + n) * 2**n))
+    return values
+
+
+def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
+    """Transform value h_n as an explicit polynomial in L; h_0 = 1."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    Lf = as_rational(L)
-    shifted = Lf + 2
-    squared = Lf * Lf + 4
-    odd_sum = Fraction(0)
-    for i in range((n - 1) // 2 + 1 if n >= 1 else 0):
-        odd_sum += binomial(n, 2 * i + 1) * Lf * shifted ** (n - 2 * i - 1) * squared**i
-    even_sum = Fraction(0)
-    for i in range(0, n // 2 + 1):
-        even_sum += binomial(n, 2 * i) * shifted ** (n - 2 * i) * squared**i
-    return Lf ** (n * (n - 1) // 2) * (odd_sum + even_sum) / 2**n
+    return h_polynomial_forms(L, n)[-1] if n > 0 else Fraction(1)
 
 
 def odd_fibonacci(n_max: int) -> list[int]:

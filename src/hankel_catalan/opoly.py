@@ -6,7 +6,7 @@ coefficients (alpha_k, beta_k):
 * the modification chain: monic Chebyshev second kind -> multiply the weight
   by a linear factor -> affine change of variable -> constant rescale ->
   divide by x (Gautschi's algorithm with an auxiliary ratio sequence r_n);
-* the Stieltjes procedure straight from the moments a_n.
+* the Chebyshev algorithm from the moments a_n, in O(n^2) exact operations.
 
 The chain enters exact rational arithmetic at the "tilde" stage, where every
 coefficient is a ratio of the integer carriers psihat/sigma; the two earlier
@@ -200,40 +200,38 @@ def r_closed_form(L: RationalLike, n: int) -> Fraction:
 def stieltjes_from_moments(
     seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
 ) -> RecurrenceCoeffs:
-    """Recurrence coefficients straight from the moments, exactly.
+    """Recurrence coefficients straight from the moments, exactly, in O(n^2).
 
-    Builds the monic family Q_0, Q_1, ... by its own recurrence, computing
-    alpha_n = U[x Q_n^2]/U[Q_n^2] and beta_n = U[Q_n^2]/U[Q_{n-1}^2]
-    (beta_0 = a_0), where U maps x^i to the i-th moment.
+    The Chebyshev algorithm from the moments (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, section 2.1.7) carries
+    the mixed moments sigma_{k,l} = U[Q_k x^l], where U maps x^i to a_i:
+    sigma_{-1,l} = 0, sigma_{0,l} = a_l and
+    sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l}
+    for l = k .. 2 n_max - k - 1. Then U[Q_k^2] = sigma_{k,k},
+    alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1} and
+    beta_k = sigma_{k,k}/sigma_{k-1,k-1} (beta_0 = a_0).
     """
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-
-    def functional(poly: list[Fraction]) -> Fraction:
-        return sum((c * moments[i] for i, c in enumerate(poly) if c), Fraction(0))
-
-    q_prev: list[Fraction] = []  # Q_{-1} = 0
-    q: list[Fraction] = [Fraction(1)]  # Q_0
-    norm_prev = Fraction(1)
+    # prev[l] = sigma_{k-1,l} and cur[l] = sigma_{k,l}. Each step reads prev[l]
+    # once, just before overwriting it with sigma_{k+1,l}, then swaps the rows.
+    prev = [Fraction(0)] * (2 * n_max)
+    cur = list(moments[: 2 * n_max])
     alpha, beta = [], []
-    for n in range(n_max):
-        q_sq = _poly_mul(q, q)
-        norm = functional(q_sq)
+    prev_ratio = Fraction(0)  # sigma_{k-1,k}/sigma_{k-1,k-1}
+    for k in range(n_max):
+        norm = cur[k]
         if norm == 0:
-            raise ZeroNorm(f"U[Q_{n}^2] = 0")
-        a_n = functional([Fraction(0)] + q_sq) / norm
-        alpha.append(a_n)
-        beta.append(moments[0] if n == 0 else norm / norm_prev)
-        # Q_{n+1} = (x - alpha_n) Q_n - beta_n Q_{n-1}
-        q_next = [Fraction(0)] + q
-        for i, c in enumerate(q):
-            q_next[i] -= a_n * c
-        b_n = beta[-1]
-        for i, c in enumerate(q_prev):
-            q_next[i] -= b_n * c
-        q_prev, q = q, q_next
-        norm_prev = norm
+            raise ZeroNorm(f"U[Q_{k}^2] = 0")
+        ratio = cur[k + 1] / norm
+        a_k = ratio - prev_ratio
+        b_k = moments[0] if k == 0 else norm / prev[k - 1]
+        alpha.append(a_k)
+        beta.append(b_k)
+        for l in range(k + 1, 2 * n_max - k - 1):
+            prev[l] = cur[l + 1] - a_k * cur[l] - b_k * prev[l]
+        prev, cur, prev_ratio = cur, prev, ratio
     return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="moments")
 
 
@@ -259,19 +257,39 @@ def monic_polynomials(coeffs: RecurrenceCoeffs, count: int) -> list[list[Fractio
 def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
     """Expand the continued fraction a_0/(1 - alpha_0 x - beta_1 x^2/(...)).
 
-    Evaluated bottom-up in exact series arithmetic; a depth of m coefficient
-    pairs pins coefficients 0..2m-1, which must cover the requested order.
-    Note the partial denominators are 1 - alpha_k x: the opposite sign fails
-    to reproduce the moments for any positive sequence.
+    The depth-m convergent is P_m/D_m. From P_0 = 0, P_1 = a_0, D_0 = 1 and
+    D_1 = 1 - alpha_0 x, both follow the three-term recurrence
+    X_k = (1 - alpha_{k-1} x) X_{k-1} - beta_{k-1} x^2 X_{k-2}, so deg D_k = k
+    and deg P_k < k. D_m has constant term 1, and one exact long division
+    gives the series. A depth of m coefficient pairs pins coefficients
+    0..2m-1, which must cover the requested order. Note the partial
+    denominators are 1 - alpha_k x: the opposite sign fails to reproduce the
+    moments for any positive sequence.
     """
     m = len(coeffs.alpha)
     if order > 2 * m - 1:
         raise InsufficientTerms(f"depth {m} pins {2 * m} coefficients, order {order} requested")
-    denom = TruncatedSeries([1, -coeffs.alpha[m - 1]], order)
-    for k in range(m - 2, -1, -1):
-        tail = denom.reciprocal().shift(2) * coeffs.beta[k + 1]
-        denom = TruncatedSeries([1, -coeffs.alpha[k]], order) - tail
-    return denom.reciprocal() * coeffs.beta[0]
+
+    def step(cur: list[Fraction], prev: list[Fraction], k: int) -> list[Fraction]:
+        out = cur + [Fraction(0)]  # (1 - alpha_k x) cur - beta_k x^2 prev
+        for i, c in enumerate(cur):
+            out[i + 1] -= coeffs.alpha[k] * c
+        for i, c in enumerate(prev):
+            out[i + 2] -= coeffs.beta[k] * c
+        return out
+
+    num_prev, num = [], [coeffs.beta[0]]
+    den_prev, den = [Fraction(1)], [Fraction(1), -coeffs.alpha[0]]
+    for k in range(1, m):
+        num_prev, num = num, step(num, num_prev, k)
+        den_prev, den = den, step(den, den_prev, k)
+    series: list[Fraction] = []
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else Fraction(0)
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[i] * series[n - i]
+        series.append(acc)
+    return TruncatedSeries(series, order)
 
 
 def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
@@ -308,12 +326,3 @@ def norm_closed_form(L: RationalLike, n: int) -> Fraction:
     states = surd_states(Lf, n)
     return Lf ** (n - 1) / 2 * states[n].sigma / states[n - 1].sigma
 
-
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hankel import h_closed_forms, h_polynomial_form, hankel_minors
+from .hankel import h_closed_forms, h_polynomial_forms, hankel_minors
 from .opoly import chain_coeffs, h_products
 from .sequences import RationalLike, a_sequence, as_rational
 
@@ -40,7 +40,7 @@ def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
     if route == "product":
         coeffs, _ = chain_coeffs(Lf, n_max)
         return h_products(coeffs, n_max)
-    return [h_polynomial_form(Lf, n) for n in range(1, n_max + 1)]
+    return h_polynomial_forms(Lf, n_max)
 
 
 def verify_row(

@@ -16,6 +16,7 @@ not rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,8 +71,13 @@ def weight_eval(x: float, spec: WeightSpec) -> float:
     return (1.0 + 1.0 / x) * math.sqrt(radicand) / (2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=4)
 def _theta_nodes(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on (0, pi); open rules so x = 0 is never sampled."""
+    """Nodes and weights on (0, pi); open rules so x = 0 is never sampled.
+
+    Memoized per (node_count, scheme): Gauss-Legendre nodes take seconds at
+    thousands of nodes. The arrays are shared, so they are read-only.
+    """
     n = cfg.node_count
     if cfg.scheme == "theta-midpoint":
         theta = (np.arange(n) + 0.5) * (math.pi / n)
@@ -80,6 +86,8 @@ def _theta_nodes(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
         nodes, w = np.polynomial.legendre.leggauss(n)
         theta = (nodes + 1.0) * (math.pi / 2.0)
         w = w * (math.pi / 2.0)
+    theta.setflags(write=False)
+    w.setflags(write=False)
     return theta, w
 
 

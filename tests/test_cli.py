@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,27 @@ def test_quad_ok_and_tolerance_breach(capsys):
     code, out = run(capsys, ["quad", "--L", "4", "--moments", "8", "--nodes", "4000", "--tol", "1e-30"])
     assert code == 2
     assert "status=mismatch" in out
+
+
+def test_quad_builds_gauss_nodes_once(capsys, monkeypatch):
+    from hankel_catalan import weight
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    weight._theta_nodes.cache_clear()
+    argv = ["quad", "--L", "3", "--moments", "8", "--nodes", "200", "--scheme", "theta-gauss"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert calls == [200]
+    theta, w = weight._theta_nodes(weight.QuadratureConfig(200, "theta-gauss"))
+    assert not theta.flags.writeable and not w.flags.writeable
+    assert calls == [200]
 
 
 def test_quad_l1_endpoint_singularity(capsys):

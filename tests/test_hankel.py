@@ -8,7 +8,9 @@ from hankel_catalan.hankel import (
     SurdState,
     fibonacci_check,
     h_closed_form,
+    h_closed_forms,
     h_polynomial_form,
+    h_polynomial_forms,
     hankel_det,
     lemma_identities,
     surd_states,
@@ -108,6 +110,14 @@ def test_polynomial_form_values():
 def test_closed_equals_polynomial(L):
     for n in range(16):
         assert h_closed_form(L, n) == h_polynomial_form(L, n)
+
+
+@pytest.mark.parametrize("L", [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)])
+def test_polynomial_row_matches_single_values_and_closed_row(L):
+    row = h_polynomial_forms(L, 30)
+    assert row == h_closed_forms(L, 30)
+    assert row[:12] == [h_polynomial_form(L, n) for n in range(1, 13)]
+    assert h_polynomial_forms(L, 0) == []
 
 
 def test_fibonacci_transform():

@@ -5,6 +5,7 @@ import pytest
 
 from hankel_catalan.hankel import InsufficientTerms, h_closed_form, surd_states
 from hankel_catalan.opoly import (
+    ZeroNorm,
     base_stage,
     breve_coeffs,
     chain_coeffs,
@@ -166,6 +167,37 @@ def test_chain_equals_moments(L):
     assert chain.beta == moments.beta
 
 
+@pytest.mark.parametrize("L", [2, Fraction(5, 2), Fraction(1, 3)])
+def test_chain_equals_moments_at_n_80(L):
+    chain, _ = chain_coeffs(L, 80)
+    moments = stieltjes_from_moments(a_sequence(L, 159), 80)
+    assert chain.alpha == moments.alpha
+    assert chain.beta == moments.beta
+
+
+@pytest.mark.parametrize("L", [2, Fraction(5, 2), Fraction(1, 3)])
+def test_moment_coefficients_make_the_polynomials_orthogonal(L):
+    moments = a_sequence(L, 23).terms
+    coeffs = stieltjes_from_moments(moments, 12)
+    polys = monic_polynomials(coeffs, 11)
+
+    def functional(p, q):
+        return sum(c * d * moments[i + j] for i, c in enumerate(p) for j, d in enumerate(q))
+
+    norm = Fraction(1)
+    for k, q_k in enumerate(polys):
+        norm *= coeffs.beta[k]
+        assert functional(q_k, q_k) == norm
+        assert all(functional(q_j, q_k) == 0 for q_j in polys[:k])
+
+
+def test_stieltjes_zero_norm():
+    with pytest.raises(ZeroNorm):
+        stieltjes_from_moments([1, 0, 0, 0], 2)
+    with pytest.raises(ZeroNorm):
+        stieltjes_from_moments([0, 1], 1)
+
+
 def test_jfraction_depth_one():
     coeffs, _ = chain_coeffs(4, 1)
     series = jfraction_series(coeffs, 1)
@@ -181,6 +213,12 @@ def test_jfraction_reproduces_moments():
     coeffs2 = stieltjes_from_moments(a_sequence(2, 11), 6)
     series2 = jfraction_series(coeffs2, 10)
     assert series2.coefficients(0, 10) == list(a_sequence(2, 10).terms)
+
+
+def test_jfraction_depth_40_reproduces_the_moments():
+    coeffs, _ = chain_coeffs(2, 40)
+    series = jfraction_series(coeffs, 79)
+    assert series.coefficients(0, 79) == list(a_sequence(2, 79).terms)
 
 
 def test_jfraction_depth_guard():
