@@ -43,6 +43,7 @@ from .opoly import (
     base_stage,
     breve_coeffs,
     chain_coeffs,
+    chebyshev_minors,
     gautschi_divide,
     h_from_products,
     h_products,

@@ -158,6 +158,15 @@ def _flag_first_mismatch(result: CommandResult, reports: Sequence[VerificationRe
     return True
 
 
+def _value_texts(report: VerificationReport) -> dict[str, str]:
+    """Route -> printed value. Agreeing routes share one conversion, since
+    converting a large value to decimal can cost more than computing it."""
+    if report.agree:
+        text = str(next(iter(report.values.values())))
+        return dict.fromkeys(report.values, text)
+    return {name: str(value) for name, value in report.values.items()}
+
+
 def cmd_hankel(args) -> CommandResult:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
@@ -166,7 +175,7 @@ def cmd_hankel(args) -> CommandResult:
     rows = []
     for report in reports:
         row: dict[str, object] = {"n": report.n}
-        row.update({name: str(value) for name, value in report.values.items()})
+        row.update(_value_texts(report))
         if args.method == "all":
             row["agree"] = report.agree
         rows.append(row)
@@ -186,7 +195,7 @@ def cmd_verify(args) -> CommandResult:
     rows = []
     for report in reports:
         row: dict[str, object] = {"L": str(report.L), "n": report.n}
-        row.update({name: str(value) for name, value in report.values.items()})
+        row.update(_value_texts(report))
         row["agree"] = report.agree
         if with_fib:
             row["fibonacci"] = str(fib[report.n - 1]) if report.L == 1 else ""

@@ -1,12 +1,15 @@
 """Hankel determinants and the closed-form transform of the target sequence.
 
-Determinants are computed exactly by fraction-free (Bareiss) elimination over
-the integers. For the sequence's own window one pass without row swaps gives
-every leading minor h_1 .. h_N at once; an arbitrary window gets one pivoting
-elimination per determinant, after a common-denominator scaling for rational
-entries. The closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs entirely
-on rational carriers of the surd expressions, so sqrt(L^2+4) never appears:
-phi_n, psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}.
+Determinants by elimination are exact fraction-free (Bareiss) passes over
+the integers, in one routine: for the sequence's own window, entries scaled
+by powers of q (L = p/q) and no row swaps, it gives every leading minor
+h_1 .. h_N at once (hankel_minors, the elimination oracle of the `det`
+route); for an arbitrary window, entries scaled by the lcm of their
+denominators and rows swapped past a zero pivot, it gives one determinant
+(hankel_det). The `det` route itself is the Chebyshev pass in opoly. The
+closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs entirely on rational
+carriers of the surd expressions, so sqrt(L^2+4) never appears: phi_n,
+psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}.
 """
 
 from __future__ import annotations
@@ -33,31 +36,52 @@ class NonIntegerResult(RuntimeWarning):
     """Integer L produced a non-integer transform value; falsifies the closed form."""
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination; consumes `rows`."""
+def _bareiss(rows: list[list[int]], pivoting: bool) -> list[int]:
+    """Fraction-free elimination of a symmetric integer matrix; consumes `rows`.
+
+    Returns the pivots. Without a row swap the k-th pivot is the k x k
+    leading minor, and every stage stays symmetric, so only the upper
+    triangle is updated. A zero pivot raises ZeroLeadingMinor; with
+    `pivoting` it instead restores the lower triangle, swaps in a later row
+    and goes on with full-row updates, and the last pivot (signed by the
+    swaps) is still the determinant.
+    """
     n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    pivots = []
+    prev, sign, symmetric = 1, 1, True
+    for k in range(n):
         if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
+            if not pivoting:
+                raise ZeroLeadingMinor(f"leading minor h_{k + 1} vanishes")
+            if symmetric:
+                for i in range(k + 1, n):
+                    for j in range(k, i):
+                        rows[i][j] = rows[j][i]
+                symmetric = False
+            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if swap is None:
+                return pivots + [0]
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        pivots.append(sign * pivot)
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
+            row = rows[i]
+            # by symmetry rows[i][k] = pivot_row[i] until the first swap
+            factor, start = (pivot_row[i], i) if symmetric else (row[k], k + 1)
+            for j in range(start, n):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    return pivots
 
 
 def hankel_det(seq: Union[SequenceWindow, Sequence[RationalLike]], n: int) -> Fraction:
-    """Exact n x n Hankel determinant of the window; h_0 = 1 by convention."""
+    """Exact n x n Hankel determinant of any window; h_0 = 1 by convention.
+
+    The entries are scaled by the lcm of their denominators, and the
+    elimination swaps rows only where a leading minor vanishes.
+    """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
     if n == 0:
@@ -65,12 +89,9 @@ def hankel_det(seq: Union[SequenceWindow, Sequence[RationalLike]], n: int) -> Fr
     terms = window_terms(seq)[: 2 * n - 1]
     if len(terms) < 2 * n - 1:
         raise InsufficientTerms(f"need a_0..a_{2 * n - 2}, window has {len(terms)} terms")
-    denom = 1
-    for value in terms:
-        denom = denom * value.denominator // math.gcd(denom, value.denominator)
-    scaled = [int(v * denom) for v in terms]
-    rows = [scaled[i : i + n] for i in range(n)]
-    det = _bareiss_det(rows)
+    denom = math.lcm(*(value.denominator for value in terms))
+    scaled = [value.numerator * (denom // value.denominator) for value in terms]
+    det = _bareiss([scaled[i : i + n] for i in range(n)], pivoting=True)[-1]
     return Fraction(det, denom**n)
 
 
@@ -78,11 +99,11 @@ def hankel_minors(window: SequenceWindow, n_max: int) -> list[Fraction]:
     """Leading minors h_1 .. h_n_max of the window's Hankel matrix in one pass.
 
     For L = p/q the denominator of a_k divides q^{k+1}, so entry (i, j) is
-    scaled by q^{i+j+1} to an integer. Bareiss elimination without row swaps
-    then has the scaled k x k leading minor h_k * q^{k^2} as its k-th pivot.
-    The scaled matrix and every elimination stage stay symmetric, so only
-    the upper triangle is updated. The moment matrix of a positive measure
-    has no zero pivot; a hand-made window may, and raises ZeroLeadingMinor.
+    scaled by q^{i+j+1} to an integer, and Bareiss elimination without row
+    swaps has the scaled k x k leading minor h_k * q^{k^2} as its k-th
+    pivot. The moment matrix of a positive measure has no zero pivot; a
+    hand-made window may, and raises ZeroLeadingMinor. This elimination is
+    the oracle of the Chebyshev route (opoly.chebyshev_minors).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -95,22 +116,8 @@ def hankel_minors(window: SequenceWindow, n_max: int) -> list[Fraction]:
         if value.denominator != 1:
             raise ValueError(f"a_{k} * {q}^{k + 1} = {value} is not an integer")
         scaled.append(value.numerator)
-    rows = [scaled[i : i + n_max] for i in range(n_max)]
-    minors = []
-    prev = 1
-    for k in range(n_max):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if pivot == 0:
-            raise ZeroLeadingMinor(f"leading minor h_{k + 1} vanishes")
-        minors.append(Fraction(pivot, q ** ((k + 1) ** 2)))
-        for i in range(k + 1, n_max):
-            row = rows[i]
-            factor = pivot_row[i]  # = rows[i][k] by symmetry
-            for j in range(i, n_max):
-                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
-        prev = pivot
-    return minors
+    pivots = _bareiss([scaled[i : i + n_max] for i in range(n_max)], pivoting=False)
+    return [Fraction(pivot, q ** ((k + 1) ** 2)) for k, pivot in enumerate(pivots)]
 
 
 # -- integer carriers of the surd closed form --------------------------------

@@ -6,12 +6,17 @@ coefficients (alpha_k, beta_k):
 * the modification chain: monic Chebyshev second kind -> multiply the weight
   by a linear factor -> affine change of variable -> constant rescale ->
   divide by x (Gautschi's algorithm with an auxiliary ratio sequence r_n);
-* the Chebyshev algorithm from the moments a_n, in O(n^2) exact operations.
+* the Chebyshev algorithm from the moments a_n, in O(n^2) integer
+  operations on rows of mixed moments over one shared denominator.
 
 The chain enters exact rational arithmetic at the "tilde" stage, where every
 coefficient is a ratio of the integer carriers psihat/sigma; the two earlier
 stages involve pi and sqrt(L) and are kept in float64 purely as a
-cross-check. Products of betas reconstruct the Hankel determinants.
+cross-check. Products of the chain's betas reconstruct the Hankel
+determinants (the `product` route). The norms U[Q_k^2] of the Chebyshev
+algorithm are the diagonal of the Hankel matrix's LDL^T factorization, and
+their products give the determinants too (the `det` route); the
+`recurrence --method moments` coefficients come from the same pass.
 """
 
 from __future__ import annotations
@@ -197,42 +202,95 @@ def r_closed_form(L: RationalLike, n: int) -> Fraction:
     )
 
 
-def stieltjes_from_moments(
-    seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
-) -> RecurrenceCoeffs:
-    """Recurrence coefficients straight from the moments, exactly, in O(n^2).
+def _chebyshev(
+    moments: Sequence[Fraction], n_max: int
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """alpha_k, beta_k and the norms U[Q_k^2] for k < n_max, from a_0 .. a_{m-1}.
 
     The Chebyshev algorithm from the moments (Gautschi, Orthogonal
     Polynomials: Computation and Approximation, 2004, section 2.1.7) carries
     the mixed moments sigma_{k,l} = U[Q_k x^l], where U maps x^i to a_i:
     sigma_{-1,l} = 0, sigma_{0,l} = a_l and
-    sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l} - beta_{k-1} sigma_{k-2,l}
-    for l = k .. 2 n_max - k - 1. Then U[Q_k^2] = sigma_{k,k},
+    sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l} - beta_k sigma_{k-1,l}
+    for l = k+1 .. m-k-2. Then U[Q_k^2] = sigma_{k,k},
     alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1} and
     beta_k = sigma_{k,k}/sigma_{k-1,k-1} (beta_0 = a_0).
+
+    Row k is kept as integers over one shared denominator:
+    row[j] / den = sigma_{k,k+j}. Only alpha_k, beta_k and the norm become
+    Fractions. The caller checks m >= 2 n_max - 1; alpha_k needs a_{2k+1}
+    and is left out where that is missing.
     """
+    m = min(len(moments), 2 * n_max)
+    den = math.lcm(*(a.denominator for a in moments[:m]))
+    cur = [a.numerator * (den // a.denominator) for a in moments[:m]]
+    # Row -1 is zero; only its entries from j = 2 on enter the recurrence, so
+    # its first two carry sigma_{-1,-1} = 1 and sigma_{-1,0} = 0 for the
+    # ratios, which gives beta_0 = a_0 and alpha_0 = a_1/a_0.
+    prev = [1, 0] + [0] * m
+    prev_den = 1
+    alpha, beta, norms = [], [], []
+    for k in range(n_max):
+        if cur[0] == 0:
+            raise ZeroNorm(f"U[Q_{k}^2] = 0")
+        norms.append(Fraction(cur[0], den))
+        b_k = Fraction(cur[0] * prev_den, den * prev[0])
+        beta.append(b_k)
+        if len(cur) < 2:
+            break
+        a_k = Fraction(cur[1] * prev[0] - prev[1] * cur[0], cur[0] * prev[0])
+        alpha.append(a_k)
+        if k == n_max - 1:
+            break
+        # sigma_{k+1,.} over M = lcm(b den, d prev_den), for alpha_k = a/b and
+        # beta_k = c/d: three integer products per entry, then one gcd.
+        a, b, c, d = a_k.numerator, a_k.denominator, b_k.numerator, b_k.denominator
+        M = math.lcm(b * den, d * prev_den)
+        u, v, w = M // den, a * (M // (b * den)), c * (M // (d * prev_den))
+        row = [u * x2 - v * x1 - w * y for x1, x2, y in zip(cur[1:], cur[2:], prev[2:])]
+        g = math.gcd(M, *row)
+        if g != 1:
+            row = [x // g for x in row]
+            M //= g
+        prev, cur, prev_den, den = cur, row, den, M
+    return alpha, beta, norms
+
+
+def stieltjes_from_moments(
+    seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
+) -> RecurrenceCoeffs:
+    """Recurrence coefficients straight from the moments a_0 .. a_{2 n_max - 1},
+    exactly, in O(n^2) integer operations (the Chebyshev algorithm; see
+    _chebyshev)."""
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-    # prev[l] = sigma_{k-1,l} and cur[l] = sigma_{k,l}. Each step reads prev[l]
-    # once, just before overwriting it with sigma_{k+1,l}, then swaps the rows.
-    prev = [Fraction(0)] * (2 * n_max)
-    cur = list(moments[: 2 * n_max])
-    alpha, beta = [], []
-    prev_ratio = Fraction(0)  # sigma_{k-1,k}/sigma_{k-1,k-1}
-    for k in range(n_max):
-        norm = cur[k]
-        if norm == 0:
-            raise ZeroNorm(f"U[Q_{k}^2] = 0")
-        ratio = cur[k + 1] / norm
-        a_k = ratio - prev_ratio
-        b_k = moments[0] if k == 0 else norm / prev[k - 1]
-        alpha.append(a_k)
-        beta.append(b_k)
-        for l in range(k + 1, 2 * n_max - k - 1):
-            prev[l] = cur[l + 1] - a_k * cur[l] - b_k * prev[l]
-        prev, cur, prev_ratio = cur, prev, ratio
+    alpha, beta, _ = _chebyshev(moments, n_max)
     return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="moments")
+
+
+def chebyshev_minors(
+    seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
+) -> list[Fraction]:
+    """Hankel determinants h_1 .. h_n_max as products of the norms U[Q_k^2].
+
+    The Chebyshev algorithm is the LDL^T factorization of the Hankel matrix
+    (a_{i+j}), done with its structure: the norms sigma_{k,k} are the
+    diagonal of D, so h_n = prod_{k<n} sigma_{k,k} whenever every leading
+    minor is nonzero. Reads a_0 .. a_{2 n_max - 2}, the entries of the
+    matrix; a vanishing leading minor raises ZeroNorm.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    moments = window_terms(seq)
+    if len(moments) < 2 * n_max - 1:
+        raise InsufficientTerms(f"need a_0..a_{2 * n_max - 2}, window has {len(moments)} terms")
+    values = []
+    h = Fraction(1)
+    for norm in _chebyshev(moments, n_max)[2]:
+        h *= norm
+        values.append(h)
+    return values
 
 
 def monic_polynomials(coeffs: RecurrenceCoeffs, count: int) -> list[list[Fraction]]:

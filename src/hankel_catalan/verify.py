@@ -1,11 +1,14 @@
 """Multi-route verification grid for the Hankel transform values.
 
 Every cell (L, n) computes the transform by up to four independent routes
-(exact determinant, surd closed form, beta-product reconstruction, explicit
-polynomial) and records whether they agree exactly. The unit of work is a
-row: one L and every n up to n_max. Each route makes one pass over the row
-(one window and one elimination, one carrier run, one modification chain)
-and no route reads another's values. Reports are sorted by (L, n).
+(determinant, surd closed form, beta-product reconstruction, explicit
+polynomial) and records whether they agree exactly. The determinant is the
+product of the norms U[Q_k^2] of the Chebyshev algorithm on the window a_k,
+which is the structured LDL^T factorization of the Hankel matrix. The unit
+of work is a row: one L and every n up to n_max. Each route makes one pass
+over the row (one window and one Chebyshev pass, one carrier run, one
+modification chain) and no route reads another's values. Reports are sorted
+by (L, n).
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hankel import h_closed_forms, h_polynomial_forms, hankel_minors
-from .opoly import chain_coeffs, h_products
+from .hankel import h_closed_forms, h_polynomial_forms
+from .opoly import chain_coeffs, chebyshev_minors, h_products
 from .sequences import RationalLike, a_sequence, as_rational
 
 ROUTES = ("det", "closed", "product", "poly")
@@ -34,7 +37,7 @@ class VerificationReport:
 def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
     """h_1 .. h_n_max of one route."""
     if route == "det":
-        return hankel_minors(a_sequence(Lf, 2 * n_max - 2), n_max)
+        return chebyshev_minors(a_sequence(Lf, 2 * n_max - 2), n_max)
     if route == "closed":
         return h_closed_forms(Lf, n_max)
     if route == "product":

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ def test_hankel_single_route(capsys):
     code, out = run(capsys, ["hankel", "--L", "1", "--n", "1", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[1].startswith("1,2,2,2,2")
+
+
+def test_a_mismatched_row_prints_each_route_value(capsys, monkeypatch):
+    from hankel_catalan import verify
+
+    closed = verify.h_closed_forms
+    monkeypatch.setattr(verify, "h_closed_forms", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
+    code, out = run(capsys, ["hankel", "--L", "2", "--n", "3", "--format", "json"])
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[1] == {"n": 2, "det": "20", "closed": "20", "product": "20", "poly": "20", "agree": True}
+    assert rows[2] == {"n": 3, "det": "272", "closed": "1/3", "product": "272", "poly": "272", "agree": False}
+    assert rows[3]["first_mismatch"] == {k: v for k, v in rows[2].items() if k != "agree"} | {"L": "2"}
 
 
 def test_verify_grid_with_fibonacci_column(capsys):

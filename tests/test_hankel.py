@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -56,6 +57,19 @@ def test_determinant_matches_cofactor_oracle(L, n):
     window = a_sequence(L, 2 * n - 2)
     rows = [[window.terms[i + j] for j in range(n)] for i in range(n)]
     assert hankel_det(window, n) == naive_det(rows)
+
+
+def test_zero_leading_minors_are_pivoted_past():
+    # one elimination serves hankel_det too: it swaps rows only on a zero pivot
+    assert hankel_det([0, 1, 0], 2) == -1
+    assert hankel_det([0, 0, 1, 0, 0], 3) == -1
+    assert hankel_det([1, 1, 1, 1, 1], 3) == 0
+    rng = random.Random(2006)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        terms = [Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((1, 2, 3))) for _ in range(2 * n - 1)]
+        rows = [[terms[i + j] for j in range(n)] for i in range(n)]
+        assert hankel_det(terms, n) == naive_det(rows)
 
 
 def test_insufficient_terms():

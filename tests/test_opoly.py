@@ -1,14 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hankel_catalan.hankel import InsufficientTerms, h_closed_form, surd_states
+from hankel_catalan.hankel import InsufficientTerms, h_closed_form, hankel_det, surd_states
 from hankel_catalan.opoly import (
+    RecurrenceCoeffs,
     ZeroNorm,
     base_stage,
     breve_coeffs,
     chain_coeffs,
+    chebyshev_minors,
     gautschi_divide,
     h_from_products,
     hat_stage,
@@ -251,3 +254,75 @@ def test_norm_is_transform_ratio(L):
 def test_norms_positive():
     coeffs, _ = chain_coeffs(3, 12)
     assert all(b > 0 for b in coeffs.beta)
+
+
+def fraction_chebyshev(seq, n_max):
+    """The Chebyshev algorithm on Fraction rows, one Fraction per mixed moment:
+    the reference for the integer-row pass in stieltjes_from_moments."""
+    moments = [Fraction(a) for a in (seq.terms if hasattr(seq, "terms") else seq)]
+    if len(moments) < 2 * n_max:
+        raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
+    prev, cur = [Fraction(0)] * (2 * n_max), list(moments[: 2 * n_max])
+    alpha, beta, prev_ratio = [], [], Fraction(0)
+    for k in range(n_max):
+        norm = cur[k]
+        if norm == 0:
+            raise ZeroNorm(f"U[Q_{k}^2] = 0")
+        ratio = cur[k + 1] / norm
+        a_k, b_k = ratio - prev_ratio, moments[0] if k == 0 else norm / prev[k - 1]
+        alpha.append(a_k)
+        beta.append(b_k)
+        for l in range(k + 1, 2 * n_max - k - 1):
+            prev[l] = cur[l + 1] - a_k * cur[l] - b_k * prev[l]
+        prev, cur, prev_ratio = cur, prev, ratio
+    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="moments")
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("L", [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)])
+def test_integer_rows_match_the_fraction_pass(L):
+    window = a_sequence(L, 79)
+    for n in range(1, 41):
+        assert stieltjes_from_moments(window, n) == fraction_chebyshev(window, n)
+    assert stieltjes_from_moments(window, 0) == fraction_chebyshev(window, 0)
+
+
+def test_integer_rows_match_the_fraction_pass_on_random_moments():
+    # small rational moments, mostly not positive definite: zero norms,
+    # negative betas and zero numerators all occur
+    rng = random.Random(20061)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        moments = [
+            Fraction(rng.randint(-4, 9), rng.choice((1, 1, 2, 3, 7)))
+            for _ in range(2 * n + rng.randint(0, 2))
+        ]
+        expected = outcome(fraction_chebyshev, moments, n)
+        assert outcome(stieltjes_from_moments, moments, n) == expected
+        assert outcome(stieltjes_from_moments, [str(a) for a in moments], n) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else RecurrenceCoeffs)
+        minors = [hankel_det(moments, j) for j in range(1, n + 1)]
+        if 0 in minors:
+            with pytest.raises(ZeroNorm, match=rf"U\[Q_{minors.index(0)}\^2\] = 0"):
+                chebyshev_minors(moments[: 2 * n - 1], n)
+        else:
+            assert chebyshev_minors(moments[: 2 * n - 1], n) == minors
+    assert outcomes == {RecurrenceCoeffs, ZeroNorm, ValueError}
+
+
+def test_chebyshev_minors_edges():
+    assert chebyshev_minors([], 0) == []
+    assert chebyshev_minors([Fraction(-3, 2)], 1) == [Fraction(-3, 2)]
+    with pytest.raises(ZeroNorm):  # h_1 = 0, though h_2 = -1
+        chebyshev_minors([0, 1, 0], 2)
+    with pytest.raises(InsufficientTerms):
+        chebyshev_minors(a_sequence(2, 4), 4)
+    with pytest.raises(ValueError):
+        chebyshev_minors([1], -1)

@@ -18,7 +18,7 @@ from hankel_catalan.hankel import (
 )
 from hankel_catalan.opoly import chain_coeffs, h_from_products, h_products
 from hankel_catalan.sequences import SequenceParams, SequenceWindow, a_sequence
-from hankel_catalan.verify import ROUTES, verify_cell, verify_grid, verify_row
+from hankel_catalan.verify import ROUTES, _row_values, verify_cell, verify_grid, verify_row
 
 ROW_L = [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)]
 
@@ -110,3 +110,16 @@ def test_package_exports_names_not_modules():
         assert not isinstance(getattr(hankel_catalan, name), ModuleType), name
     for module in ("genfunc", "hankel", "opoly", "sequences", "series", "verify", "weight"):
         assert module not in hankel_catalan.__all__
+
+
+@pytest.mark.parametrize(
+    "L, N", [(1, 60), (2, 60), (Fraction(5, 2), 60), (Fraction(1, 3), 60), (8, 60), (Fraction(37, 91), 40)]
+)
+def test_det_column_matches_the_bareiss_oracle(L, N):
+    Lf = Fraction(L)
+    assert _row_values(Lf, N, "det") == hankel_minors(a_sequence(Lf, 2 * N - 2), N)
+
+
+def test_every_route_agrees_at_n_160():
+    row = verify_row(2, 160)
+    assert len(row) == 160 and all(report.agree for report in row)
