@@ -68,7 +68,6 @@ from .sequences import (
 )
 from .series import (
     BadConstantTerm,
-    LaurentPoleError,
     TruncatedSeries,
     ZeroLeadingCoefficient,
     geometric,

@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--moments", type=int, default=8, metavar="N_MAX")
     p_quad.add_argument("--nodes", type=int, default=4000)
     p_quad.add_argument("--tol", type=float, default=1e-8)
-    p_quad.add_argument(
-        "--scheme", choices=("theta-midpoint", "theta-gauss"), default="theta-midpoint"
-    )
     add_format(p_quad)
 
     return parser
@@ -297,7 +294,7 @@ def cmd_quad(args) -> CommandResult:
         math.pow(spec.support_hi, args.moments)
     except (OverflowError, ValueError):  # ValueError: float(L) underflowed to 0
         raise UsageError(f"--L {args.L} --moments {args.moments} leaves the float64 range")
-    cfg = QuadratureConfig(node_count=args.nodes, scheme=args.scheme)
+    cfg = QuadratureConfig(node_count=args.nodes)
     rows = []
     worst = 0.0
     for n in range(args.moments + 1):
@@ -317,7 +314,6 @@ def cmd_quad(args) -> CommandResult:
         "moments": str(args.moments),
         "nodes": str(args.nodes),
         "tol": f"{args.tol:g}",
-        "scheme": args.scheme,
     }
     result = CommandResult("quad", params, rows)
     result.summary["max_rel_err"] = f"{worst:.3e}"

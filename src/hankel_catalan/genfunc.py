@@ -1,10 +1,12 @@
 """Jacobi polynomials and the closed-form generating functions of the sequence.
 
-Everything here is exact series arithmetic. The ordinary generating function
-of a_n is assembled two independent ways: from its closed square-root form,
-and from the Jacobi-polynomial generating function with a scaled argument.
-Both carry a 1/t pole that must cancel identically; a surviving pole means a
-transcription error, not a rounding problem.
+Everything here is exact power-series arithmetic. The ordinary generating
+function G of a_n is assembled two independent ways: from its closed
+square-root form, and from the Jacobi-polynomial generating function with a
+scaled argument. Both forms carry a 1/t pole that must cancel identically.
+Each assembly computes t*G, whose constant term is that pole's coefficient,
+and raises unless it is exactly zero; a surviving pole means a transcription
+error, not a rounding problem.
 """
 
 from __future__ import annotations
@@ -111,31 +113,39 @@ def t_sum_identities(L: RationalLike, n_max: int) -> bool:
     return True
 
 
+def _divide_by_t(t_g: TruncatedSeries) -> TruncatedSeries:
+    """G from t*G, whose constant term is the 1/t coefficient of G and must vanish."""
+    pole = t_g.coefficient(0)
+    if pole != 0:
+        raise PoleNotCancelled(f"1/t coefficient is {pole}, expected 0")
+    return t_g.shift(-1)
+
+
 def big_g_series(L: RationalLike, order: int) -> TruncatedSeries:
     """Ordinary generating function of a_n from its closed square-root form.
 
-    Evaluates (t+1)/rho * (1/t - 4/(1 - (L-1)t + rho)^2) - 1/t as a Laurent
-    series, asserts the 1/t coefficient vanishes exactly, and returns the
-    regular part, whose coefficient of t^n is a_n(L).
+    G = (t+1)/rho * (1/t - 4/B^2) - 1/t with B = 1 - (L-1)t + rho. Evaluates
+    t*G = (t+1)/rho * (1 - 4t/B^2) - 1 through t^(order+1), asserts its
+    constant term (the 1/t pole of G) vanishes exactly, and returns G, whose
+    coefficient of t^n is a_n(L).
     """
     Lf = as_rational(L)
     work = order + 1
     rho = rho_series(Lf, work)
-    inv_t = TruncatedSeries([1], work, min_exp=-1)
+    one = TruncatedSeries([1], work)
     bracket_base = TruncatedSeries([1, -(Lf - 1)], work) + rho
-    inner = inv_t - (bracket_base * bracket_base).reciprocal() * 4
-    g = TruncatedSeries([1, 1], work) * rho.reciprocal() * inner - inv_t
-    pole = g.coefficient(-1)
-    if pole != 0:
-        raise PoleNotCancelled(f"1/t coefficient is {pole}, expected 0")
-    return g.regular_part().truncate(order)
+    inner = one - (bracket_base * bracket_base).reciprocal().shift(1) * 4
+    t_g = TruncatedSeries([1, 1], work) * rho.reciprocal() * inner - one
+    return _divide_by_t(t_g)
 
 
 def big_g_series_from_jacobi(L: RationalLike, order: int) -> TruncatedSeries:
     """Same generating function assembled from Jacobi generating functions.
 
-    Evaluates (t+1)/t * G^{(0,0)} - (t+1) * G^{(2,0)} - 1/t, both G's taken
-    at x = (L+1)/(L-1) with argument scaled by (L-1). Requires L != 1.
+    G = (t+1)/t * G^{(0,0)} - (t+1) * G^{(2,0)} - 1/t, both G's taken at
+    x = (L+1)/(L-1) with argument scaled by (L-1). Evaluates
+    t*G = (t+1) G^{(0,0)} - t(t+1) G^{(2,0)} - 1 and divides by t as
+    big_g_series does. Requires L != 1.
     """
     Lf = as_rational(L)
     if Lf == 1:
@@ -144,13 +154,9 @@ def big_g_series_from_jacobi(L: RationalLike, order: int) -> TruncatedSeries:
     x = (Lf + 1) / (Lf - 1)
     g00 = jacobi_genfun_series(JacobiParams(0, 0), x, work).scale_argument(Lf - 1)
     g20 = jacobi_genfun_series(JacobiParams(2, 0), x, work).scale_argument(Lf - 1)
-    one_plus_inv_t = TruncatedSeries([1, 1], work, min_exp=-1)  # (t+1)/t
-    inv_t = TruncatedSeries([1], work, min_exp=-1)
-    g = one_plus_inv_t * g00 - TruncatedSeries([1, 1], work) * g20 - inv_t
-    pole = g.coefficient(-1)
-    if pole != 0:
-        raise PoleNotCancelled(f"1/t coefficient is {pole}, expected 0")
-    return g.regular_part().truncate(order)
+    one_plus_t = TruncatedSeries([1, 1], work)
+    t_g = one_plus_t * g00 - one_plus_t.shift(1) * g20 - TruncatedSeries([1], work)
+    return _divide_by_t(t_g)
 
 
 def f_series(L: RationalLike, order: int) -> TruncatedSeries:

@@ -9,14 +9,13 @@ are orthogonal under it. Every integral over the weight is taken after the
 substitution x = L + 1 + 2 sqrt(L) cos(theta), which turns the integrand
 into a smooth (periodic) function of theta: the endpoint square-root
 singularities and the x^(-1/2) endpoint behaviour at L = 1 are absorbed
-exactly, so simple rules converge spectrally. Exactness lives elsewhere; a
-mismatch here beyond tolerance signals a transcription error in the weight,
-not rounding.
+exactly, so the midpoint rule converges spectrally. Exactness lives
+elsewhere; a mismatch here beyond tolerance signals a transcription error in
+the weight, not rounding.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,13 +49,10 @@ class WeightSpec:
 @dataclass(frozen=True)
 class QuadratureConfig:
     node_count: int = 4000
-    scheme: str = "theta-midpoint"
 
     def __post_init__(self):
         if self.node_count < 16:
             raise ValueError("node_count must be at least 16")
-        if self.scheme not in ("theta-midpoint", "theta-gauss"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def weight_eval(x: float, spec: WeightSpec) -> float:
@@ -71,23 +67,11 @@ def weight_eval(x: float, spec: WeightSpec) -> float:
     return (1.0 + 1.0 / x) * math.sqrt(radicand) / (2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=4)
 def _theta_nodes(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on (0, pi); open rules so x = 0 is never sampled.
-
-    Memoized per (node_count, scheme): Gauss-Legendre nodes take seconds at
-    thousands of nodes. The arrays are shared, so they are read-only.
-    """
+    """Midpoint nodes and weights on (0, pi); an open rule, so x = 0 is never sampled."""
     n = cfg.node_count
-    if cfg.scheme == "theta-midpoint":
-        theta = (np.arange(n) + 0.5) * (math.pi / n)
-        w = np.full(n, math.pi / n)
-    else:
-        nodes, w = np.polynomial.legendre.leggauss(n)
-        theta = (nodes + 1.0) * (math.pi / 2.0)
-        w = w * (math.pi / 2.0)
-    theta.setflags(write=False)
-    w.setflags(write=False)
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    w = np.full(n, math.pi / n)
     return theta, w
 
 

@@ -96,14 +96,14 @@ def test_criterion_3_generating_function_coefficients():
     direct1 = (low.shift(-1) / 2 - one).shift(-1)
     ok = ok and big_g_series(1, 20).coefficients(0, 20) == direct1.coefficients(0, 20)
 
-    # L=2 closed form: -1/t + (t+1)/sqrt(t^2-6t+1) (1/t - 4/(1-t+sqrt(t^2-6t+1))^2)
+    # L=2 closed form: -1/t + (t+1)/sqrt(t^2-6t+1) (1/t - 4/(1-t+sqrt(t^2-6t+1))^2),
+    # as t times it divided by t; shift(-1) raises unless the 1/t pole cancels
     root = TruncatedSeries([1, -6, 1], work).sqrt()
-    inv_t = TruncatedSeries([1], work, min_exp=-1)
     shifted = TruncatedSeries([1, -1], work) + root
     direct2 = (
-        TruncatedSeries([1, 1], work) * root.reciprocal() * (inv_t - (shifted * shifted).reciprocal() * 4)
-        - inv_t
-    )
+        TruncatedSeries([1, 1], work) * root.reciprocal() * (one - (shifted * shifted).reciprocal().shift(1) * 4)
+        - one
+    ).shift(-1)
     ok = ok and big_g_series(2, 20).coefficients(0, 20) == direct2.coefficients(0, 20)
     _verdict("3. generating-function coefficients (pole cancels; matches a_n and both closed forms)", ok)
 

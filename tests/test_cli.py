@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -164,27 +163,6 @@ def test_quad_ok_and_tolerance_breach(capsys):
     assert "status=mismatch" in out
 
 
-def test_quad_builds_gauss_nodes_once(capsys, monkeypatch):
-    from hankel_catalan import weight
-
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counting(n):
-        calls.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    weight._theta_nodes.cache_clear()
-    argv = ["quad", "--L", "3", "--moments", "8", "--nodes", "200", "--scheme", "theta-gauss"]
-    code, out = run(capsys, argv)
-    assert code == 0
-    assert calls == [200]
-    theta, w = weight._theta_nodes(weight.QuadratureConfig(200, "theta-gauss"))
-    assert not theta.flags.writeable and not w.flags.writeable
-    assert calls == [200]
-
-
 def test_quad_l1_endpoint_singularity(capsys):
     code, out = run(capsys, ["quad", "--L", "1", "--moments", "6", "--nodes", "4000", "--tol", "1e-8", "--format", "json"])
     assert code == 0
@@ -254,7 +232,6 @@ _OPTIONS = {
         ("--moments", st.integers(-2, 300).map(str)),
         ("--nodes", st.integers(16, 5000).map(str)),
         ("--tol", st.one_of(st.floats().map(repr), st.sampled_from(["1e-8", "0", "inf", "-nan"]))),
-        ("--scheme", st.sampled_from(["theta-midpoint", "theta-gauss"])),
     ],
 }
 _REQUIRED = {"seq": 2, "hankel": 2, "verify": 1, "recurrence": 2, "series": 1, "quad": 1}
@@ -267,9 +244,6 @@ def _argv(draw):
     for index, (flag, values) in enumerate(_OPTIONS[command]):
         if index < _REQUIRED[command] or draw(st.booleans()):
             argv += [flag, draw(values)]
-    if argv[-2:] == ["--scheme", "theta-gauss"]:
-        # Gauss-Legendre nodes are rebuilt for every moment at O(nodes^2); keep them few
-        argv += ["--nodes", draw(st.integers(16, 100).map(str))]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["json", "csv", "plain"]))]
     return argv

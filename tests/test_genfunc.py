@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from hankel_catalan import genfunc
+from hankel_catalan.cli import main
 from hankel_catalan.genfunc import (
     JacobiParams,
+    PoleNotCancelled,
     big_g_series,
     big_g_series_from_jacobi,
     f_series,
@@ -74,21 +77,21 @@ def gen9_assembly(order):
 
 
 def gen10_assembly(order):
-    # -1/t + (t+1)/sqrt(t^2-6t+1) * (1/t - 4/(1 - t + sqrt(t^2-6t+1))^2)
+    # -1/t + (t+1)/sqrt(t^2-6t+1) * (1/t - 4/(1 - t + sqrt(t^2-6t+1))^2), as
+    # t times it divided by t; shift(-1) raises unless the 1/t pole cancels
     work = order + 2
     root = TruncatedSeries([1, -6, 1], work).sqrt()
-    inv_t = TruncatedSeries([1], work, min_exp=-1)
-    bracket = inv_t - (
+    one = TruncatedSeries([1], work)
+    bracket = one - (
         (TruncatedSeries([1, -1], work) + root) * (TruncatedSeries([1, -1], work) + root)
-    ).reciprocal() * 4
-    return TruncatedSeries([1, 1], work) * root.reciprocal() * bracket - inv_t
+    ).reciprocal().shift(1) * 4
+    return (TruncatedSeries([1, 1], work) * root.reciprocal() * bracket - one).shift(-1)
 
 
 def test_big_g_l1_matches_direct_assembly():
     direct = gen9_assembly(20)
     series = big_g_series(1, 20)
     assert series.coefficients(0, 20) == direct.coefficients(0, 20)
-    assert direct.coefficient(-1) == 0
 
 
 def test_big_g_l2_matches_direct_assembly():
@@ -97,9 +100,29 @@ def test_big_g_l2_matches_direct_assembly():
     assert series.coefficients(0, 20) == direct.coefficients(0, 20)
 
 
-@pytest.mark.parametrize("L", [2, 3, 4, 5])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, Fraction(5, 2), Fraction(1, 3), Fraction(37, 91)], ids=str)
 def test_both_generating_function_assemblies_agree(L):
-    assert big_g_series(L, 20) == big_g_series_from_jacobi(L, 20)
+    closed = big_g_series(L, 20)
+    assert closed == big_g_series_from_jacobi(L, 20)
+    assert closed.coefficients(0, 20) == list(a_sequence(L, 20).terms)
+
+
+def test_a_surviving_pole_is_reported(monkeypatch, capsys):
+    rho = genfunc.rho_series
+    monkeypatch.setattr(genfunc, "rho_series", lambda L, order: rho(L, order) * 2)
+    with pytest.raises(PoleNotCancelled):
+        big_g_series(3, 10)
+    with pytest.raises(PoleNotCancelled):
+        f_series(3, 10)
+    assert main(["series", "--L", "3", "--which", "G", "--terms", "10"]) == 2
+    assert "status=error" in capsys.readouterr().out
+
+    jacobi = genfunc.jacobi_genfun_series
+    monkeypatch.setattr(
+        genfunc, "jacobi_genfun_series", lambda p, x, order: jacobi(p, x, order) * 2
+    )
+    with pytest.raises(PoleNotCancelled):
+        big_g_series_from_jacobi(3, 10)
 
 
 def test_jacobi_assembly_rejects_l_one():

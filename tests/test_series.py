@@ -6,7 +6,6 @@ import pytest
 
 from hankel_catalan.series import (
     BadConstantTerm,
-    LaurentPoleError,
     TruncatedSeries,
     ZeroLeadingCoefficient,
     geometric,
@@ -83,8 +82,6 @@ def test_sqrt_binomial_series_oracle():
 def test_sqrt_requires_unit_constant():
     with pytest.raises(BadConstantTerm):
         TruncatedSeries([4, 1], 5).sqrt()
-    with pytest.raises(BadConstantTerm):
-        TruncatedSeries([1], 5, min_exp=-1).sqrt()
 
 
 def test_sqrt_roundtrip_random():
@@ -125,27 +122,14 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
-def test_laurent_depth_is_capped():
-    with pytest.raises(LaurentPoleError):
-        TruncatedSeries([1, 0, 0], 2, min_exp=-2)
-    inv_t = TruncatedSeries([1], 5, min_exp=-1)
-    with pytest.raises(LaurentPoleError):
-        inv_t * inv_t
-
-
-def test_zero_leading_laurent_terms_are_trimmed():
-    s = TruncatedSeries([0, 3, 1], 4, min_exp=-1)
-    assert s.min_exponent == 0
-    assert s.coefficient(-1) == 0
-    assert s.coefficient(0) == 3
-
-
 def test_shift_divides_and_multiplies_by_x():
     s = TruncatedSeries([0, 2, 3], 5)
-    down = s.shift(-1)
-    assert down.min_exponent == 0  # the zero constant term cancels the pole
+    down = s.shift(-1)  # the zero constant term leaves no pole
     assert down.coefficients(0, 1) == [2, 3]
     assert down.order == 4
+    assert down.coefficient(-1) == 0
+    with pytest.raises(ValueError):
+        down.shift(-1)  # 2/x + 3 is not a power series
     up = s.shift(2)
     assert up.coefficient(3) == 2
     assert up.order == 7
@@ -172,12 +156,6 @@ def test_scale_argument():
     assert scaled.coefficients(0, 3) == [5, 2, 4, 0]
 
 
-def test_regular_part_requires_zero_pole():
-    bad = TruncatedSeries([2, 1], 4, min_exp=-1)
-    with pytest.raises(ValueError):
-        bad.regular_part()
-
-
 def test_scalar_arithmetic():
     s = TruncatedSeries([1, 2], 4)
     assert (s * 3).coefficient(1) == 6
@@ -194,6 +172,6 @@ def test_coefficients_stay_canonical():
         while t.coefficient(0) == 0:
             t = random_series(rng, 6)
         for result in (s + t, s * t, t.reciprocal()):
-            for c in result.coefficients(result.min_exponent, result.order):
+            for c in result.coefficients(0, result.order):
                 assert c.denominator > 0
                 assert math.gcd(abs(c.numerator), c.denominator) == 1

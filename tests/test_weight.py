@@ -30,8 +30,6 @@ def test_support_endpoints():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(node_count=8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(scheme="simpson")
 
 
 def test_weight_midpoint_value():
@@ -73,15 +71,6 @@ def test_moments_match_sequence(L):
     for n in range(11):
         exact = float(window.terms[n])
         assert abs(moment_quadrature(spec, n, cfg) - exact) / exact < 1e-8
-
-
-def test_gauss_scheme_agrees():
-    spec = WeightSpec.for_parameter(2.0)
-    cfg = QuadratureConfig(node_count=400, scheme="theta-gauss")
-    window = a_sequence(2, 6)
-    for n in range(7):
-        exact = float(window.terms[n])
-        assert abs(moment_quadrature(spec, n, cfg) - exact) / exact < 1e-10
 
 
 def test_refinement_reduces_error_until_noise():
