@@ -78,6 +78,7 @@ from .weight import (
     QuadratureConfig,
     WeightSpec,
     moment_quadrature,
+    moment_quadratures,
     orthogonality_check,
     polynomial_quadrature,
     weight_eval,

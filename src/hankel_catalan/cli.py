@@ -23,7 +23,7 @@ from .hankel import odd_fibonacci
 from .opoly import chain_coeffs, stieltjes_from_moments
 from .sequences import a_sequence
 from .verify import ROUTES, VerificationReport, first_mismatch, verify_grid, verify_row
-from .weight import QuadratureConfig, WeightSpec, moment_quadrature
+from .weight import QuadratureConfig, WeightSpec, moment_quadratures
 
 DEFAULT_ORDER_ENV = "HF_DEFAULT_ORDER"
 
@@ -297,8 +297,7 @@ def cmd_quad(args) -> CommandResult:
     cfg = QuadratureConfig(node_count=args.nodes)
     rows = []
     worst = 0.0
-    for n in range(args.moments + 1):
-        approx = moment_quadrature(spec, n, cfg)
+    for n, approx in enumerate(moment_quadratures(spec, args.moments, cfg)):
         rel_err = abs(approx - exact[n]) / exact[n]
         worst = max(worst, rel_err)
         rows.append(

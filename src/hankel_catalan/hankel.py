@@ -18,9 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Sequence, Union
 
-from .sequences import RationalLike, SequenceWindow, as_rational, binomial, window_terms
+from .sequences import RationalLike, SequenceWindow, as_rational, window_terms
 
 
 class InsufficientTerms(ValueError):
@@ -202,31 +203,28 @@ def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
     Expands the surd closed form by the binomial theorem, leaving
     2^{-n} L^{n(n-1)/2} * [ sum_i C(n,2i+1) L (L+2)^{n-2i-1} (L^2+4)^i
                           + sum_i C(n,2i)   (L+2)^{n-2i}     (L^2+4)^i ].
-    For L = p/q every term of the bracket has denominator q^n, so the sums
-    run over integers, with the powers of p + 2q and p^2 + 4q^2 tabulated
-    once for the row.
+    For L = p/q every term of the bracket has denominator q^n, so the bracket
+    is one integer sum over k = 0..n of C(n,k) (p+2q)^{n-k} t_k, where
+    t_{2i} = (p^2+4q^2)^i and t_{2i+1} = p (p^2+4q^2)^i are tabulated once
+    for the row. Each value is (bracket / (2q)^n) * L^{n(n-1)/2}: both
+    factors are reduced on their own, so no gcd pairs two large integers.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
     p, q = Lf.numerator, Lf.denominator
     shifted = [1]  # (p + 2q)^k = q^k (L+2)^k
-    squared = [1]  # (p^2 + 4q^2)^i = q^{2i} (L^2+4)^i
     for _ in range(n_max):
         shifted.append(shifted[-1] * (p + 2 * q))
-    for _ in range(n_max // 2):
-        squared.append(squared[-1] * (p * p + 4 * q * q))
+    surd = [1, p]  # t_k, the (L^2+4)^i and L (L^2+4)^i parts scaled by q^k
+    while len(surd) <= n_max:
+        surd += [surd[-2] * (p * p + 4 * q * q), surd[-1] * (p * p + 4 * q * q)]
     values = []
+    row = [1]  # C(n, 0..n)
     for n in range(1, n_max + 1):
-        odd_sum = sum(
-            binomial(n, 2 * i + 1) * p * shifted[n - 2 * i - 1] * squared[i]
-            for i in range((n - 1) // 2 + 1)
-        )
-        even_sum = sum(
-            binomial(n, 2 * i) * shifted[n - 2 * i] * squared[i] for i in range(n // 2 + 1)
-        )
-        power = n * (n - 1) // 2
-        values.append(Fraction(p**power * (odd_sum + even_sum), q ** (power + n) * 2**n))
+        row = [1, *map(add, row, row[1:]), 1]
+        bracket = sum(map(mul, map(mul, row, shifted[n::-1]), surd))
+        values.append(Fraction(bracket, (2 * q) ** n) * Lf ** (n * (n - 1) // 2))
     return values
 
 

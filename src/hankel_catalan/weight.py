@@ -89,10 +89,15 @@ def _substituted(spec: WeightSpec, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     return x, w * factor
 
 
+def moment_quadratures(spec: WeightSpec, n_max: int, cfg: QuadratureConfig) -> list[float]:
+    """Approximate moments 0 .. n_max of the measure from one set of nodes."""
+    x, w = _substituted(spec, cfg)
+    return [float(w @ x**n) for n in range(n_max + 1)]
+
+
 def moment_quadrature(spec: WeightSpec, n: int, cfg: QuadratureConfig) -> float:
     """Approximate the n-th moment of the measure."""
-    x, w = _substituted(spec, cfg)
-    return float(w @ x**n)
+    return moment_quadratures(spec, n, cfg)[-1]
 
 
 def polynomial_quadrature(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hankel_catalan import weight
 from hankel_catalan.cli import main
 
 
@@ -161,6 +162,16 @@ def test_quad_ok_and_tolerance_breach(capsys):
     code, out = run(capsys, ["quad", "--L", "4", "--moments", "8", "--nodes", "4000", "--tol", "1e-30"])
     assert code == 2
     assert "status=mismatch" in out
+
+
+def test_quad_builds_its_nodes_once(monkeypatch, capsys):
+    builds = []
+    substituted = weight._substituted
+    monkeypatch.setattr(weight, "_substituted", lambda *args: builds.append(args) or substituted(*args))
+    code, out = run(capsys, ["quad", "--L", "7/3", "--moments", "12", "--format", "json"])
+    assert code == 0
+    assert len(out.splitlines()) == 14  # 13 moments and the trailer
+    assert len(builds) == 1
 
 
 def test_quad_l1_endpoint_singularity(capsys):

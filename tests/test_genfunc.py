@@ -107,6 +107,13 @@ def test_both_generating_function_assemblies_agree(L):
     assert closed.coefficients(0, 20) == list(a_sequence(L, 20).terms)
 
 
+def test_both_assemblies_agree_at_high_order_for_rational_l():
+    L = Fraction(37, 91)
+    closed = big_g_series(L, 150)
+    assert closed == big_g_series_from_jacobi(L, 150)
+    assert closed.coefficients(0, 150) == list(a_sequence(L, 150).terms)
+
+
 def test_a_surviving_pole_is_reported(monkeypatch, capsys):
     rho = genfunc.rho_series
     monkeypatch.setattr(genfunc, "rho_series", lambda L, order: rho(L, order) * 2)
