@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +24,6 @@ from .opoly import chain_coeffs, stieltjes_from_moments
 from .sequences import a_sequence
 from .verify import ROUTES, VerificationReport, first_mismatch, verify_grid, verify_row
 from .weight import QuadratureConfig, WeightSpec, moment_quadratures
-
-DEFAULT_ORDER_ENV = "HF_DEFAULT_ORDER"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,15 +75,9 @@ def _l_range(text: str) -> list[Fraction]:
     return [_positive_rational(part) for part in text.split(",")]
 
 
-def _default_terms() -> int:
-    text = os.environ.get(DEFAULT_ORDER_ENV, "30")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{DEFAULT_ORDER_ENV} must be an integer, got {text!r}")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every caller shares it."""
     parser = _Parser(prog="hankel-catalan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="exact generating-function coefficients")
     p_series.add_argument("--L", type=_positive_rational, required=True)
-    p_series.add_argument("--terms", type=int, default=None)
+    p_series.add_argument("--terms", type=int, default=30)
     p_series.add_argument("--which", choices=("G", "F", "rho"), default="G")
     add_format(p_series)
 
@@ -250,7 +242,7 @@ def cmd_recurrence(args) -> CommandResult:
 
 
 def cmd_series(args) -> CommandResult:
-    terms = args.terms if args.terms is not None else _default_terms()
+    terms = args.terms
     if terms < 1:
         raise UsageError("--terms must be at least 1")
     params = {"L": str(args.L), "terms": str(terms), "which": args.which}

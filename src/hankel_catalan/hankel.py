@@ -133,7 +133,6 @@ class SurdState:
     and satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}.
     """
 
-    index: int
     phi: Fraction
     psihat: Fraction
     sigma: Fraction
@@ -148,14 +147,14 @@ def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
     q = 4 * Lf  # t1 * t2
     phi, phi_prev = 2 * (Lf + 2), Fraction(2)
     psi, psi_prev = Fraction(2), Fraction(0)
-    states = [SurdState(0, phi_prev, psi_prev, Lf * psi_prev + phi_prev)]
+    states = [SurdState(phi_prev, psi_prev, Lf * psi_prev + phi_prev)]
     if n_max == 0:
         return states
-    states.append(SurdState(1, phi, psi, Lf * psi + phi))
+    states.append(SurdState(phi, psi, Lf * psi + phi))
     for n in range(2, n_max + 1):
         phi, phi_prev = p * phi - q * phi_prev, phi
         psi, psi_prev = p * psi - q * psi_prev, psi
-        states.append(SurdState(n, phi, psi, Lf * psi + phi))
+        states.append(SurdState(phi, psi, Lf * psi + phi))
     return states
 
 

@@ -48,7 +48,6 @@ class RecurrenceCoeffs:
 
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
-    provenance: str  # "chain" or "moments"
 
     def __post_init__(self):
         if len(self.alpha) != len(self.beta):
@@ -62,7 +61,7 @@ class ChainStage:
     """Coefficients at one stage of the weight-modification chain.
 
     For the exact stages the lists hold Fractions; the hat stage holds
-    float64. When beta0_times_pi is set, beta[0] stores the rational factor
+    float64. At the base and tilde stages beta[0] stores the rational factor
     of a value beta[0] * pi.
     """
 
@@ -70,19 +69,12 @@ class ChainStage:
     L: Optional[Fraction]
     alpha: tuple
     beta: tuple
-    beta0_times_pi: bool = False
 
 
 def base_stage(n_max: int) -> ChainStage:
     """Monic Chebyshev (second kind) coefficients: alpha = 0, beta_0 = pi/2, beta_n = 1/4."""
     beta = [Fraction(1, 2)] + [Fraction(1, 4)] * (n_max - 1)
-    return ChainStage(
-        stage="base",
-        L=None,
-        alpha=(Fraction(0),) * n_max,
-        beta=tuple(beta),
-        beta0_times_pi=True,
-    )
+    return ChainStage(stage="base", L=None, alpha=(Fraction(0),) * n_max, beta=tuple(beta))
 
 
 def lambda_closed(L: float, n: int) -> float:
@@ -124,7 +116,7 @@ def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
 
     alpha_n = -1 + psihat_{n+2}/(2 psihat_{n+1}) + 2L psihat_{n+1}/psihat_{n+2};
     beta_n = L psihat_n psihat_{n+2} / psihat_{n+1}^2 for n >= 1, while
-    beta_0 is (L+2)/2 times pi (kept as the rational factor plus a flag).
+    beta_0 is (L+2)/2 times pi (kept as the rational factor).
     The psihat ratios are where the sqrt(L) and sqrt(L^2+4) factors cancel,
     which is what makes this stage exactly rational.
     """
@@ -139,9 +131,7 @@ def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
         alpha.append(-1 + psihat[n + 2] / (2 * psihat[n + 1]) + 2 * Lf * psihat[n + 1] / psihat[n + 2])
         if n >= 1:
             beta.append(Lf * psihat[n] * psihat[n + 2] / psihat[n + 1] ** 2)
-    return ChainStage(
-        stage="tilde", L=Lf, alpha=tuple(alpha), beta=tuple(beta), beta0_times_pi=True
-    )
+    return ChainStage(stage="tilde", L=Lf, alpha=tuple(alpha), beta=tuple(beta))
 
 
 def breve_coeffs(stage: ChainStage) -> ChainStage:
@@ -153,9 +143,7 @@ def breve_coeffs(stage: ChainStage) -> ChainStage:
     return ChainStage(stage="breve", L=L, alpha=stage.alpha, beta=beta)
 
 
-def gautschi_divide(
-    stage: ChainStage, L: RationalLike, n_max: int
-) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
+def gautschi_divide(stage: ChainStage) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
     """Divide the weight by x: final coefficients and the ratios (r_{-1}, r_0, ...).
 
     r_{-1} = -(L+1) (minus the mass of the divided weight), then
@@ -165,12 +153,8 @@ def gautschi_divide(
     """
     if stage.stage != "breve":
         raise ValueError(f"expected the breve stage, got {stage.stage!r}")
-    Lf = as_rational(L)
-    if stage.L != Lf:
-        raise ValueError(f"stage was built for L = {stage.L}, not {Lf}")
-    if n_max < 1 or n_max > len(stage.alpha):
-        raise ValueError(f"cannot produce {n_max} coefficients from a stage of size {len(stage.alpha)}")
-    r = [Fraction(-(Lf + 1))]
+    n_max = len(stage.alpha)
+    r = [-(stage.L + 1)]
     for n in range(n_max):
         r_next = -(stage.alpha[n] + stage.beta[n] / r[-1])
         if r_next == 0:
@@ -181,13 +165,12 @@ def gautschi_divide(
     for k in range(1, n_max):
         alpha.append(stage.alpha[k] + r[k + 1] - r[k])
         beta.append(stage.beta[k - 1] * r[k] / r[k - 1])
-    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="chain"), tuple(r)
+    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta)), tuple(r)
 
 
 def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
     """Run the exact part of the chain end to end: tilde -> breve -> divide by x."""
-    Lf = as_rational(L)
-    return gautschi_divide(breve_coeffs(tilde_coeffs(Lf, n_max)), Lf, n_max)
+    return gautschi_divide(breve_coeffs(tilde_coeffs(L, n_max)))
 
 
 def r_closed_form(L: RationalLike, n: int) -> Fraction:
@@ -266,7 +249,7 @@ def stieltjes_from_moments(
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
     alpha, beta, _ = _chebyshev(moments, n_max)
-    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta), provenance="moments")
+    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta))
 
 
 def chebyshev_minors(
@@ -315,32 +298,22 @@ def monic_polynomials(coeffs: RecurrenceCoeffs, count: int) -> list[list[Fractio
 def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
     """Expand the continued fraction a_0/(1 - alpha_0 x - beta_1 x^2/(...)).
 
-    The depth-m convergent is P_m/D_m. From P_0 = 0, P_1 = a_0, D_0 = 1 and
-    D_1 = 1 - alpha_0 x, both follow the three-term recurrence
-    X_k = (1 - alpha_{k-1} x) X_{k-1} - beta_{k-1} x^2 X_{k-2}, so deg D_k = k
-    and deg P_k < k. D_m has constant term 1, and one exact long division
-    gives the series. A depth of m coefficient pairs pins coefficients
-    0..2m-1, which must cover the requested order. Note the partial
-    denominators are 1 - alpha_k x: the opposite sign fails to reproduce the
-    moments for any positive sequence.
+    The depth-m convergent is P_m/D_m: the denominator D_m(x) = x^m Q_m(1/x)
+    is the reversed monic polynomial, and the numerator
+    P_m(x) = a_0 x^{m-1} Q^(1)_{m-1}(1/x) is a_0 times the reversed associated
+    polynomial, the one built from alpha_1.., beta_1.. (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004). D_m has constant term
+    1, and one exact long division gives the series. A depth of m
+    coefficient pairs pins coefficients 0..2m-1, which must cover the
+    requested order. Note the partial denominators are 1 - alpha_k x: the
+    opposite sign fails to reproduce the moments for any positive sequence.
     """
     m = len(coeffs.alpha)
     if order > 2 * m - 1:
         raise InsufficientTerms(f"depth {m} pins {2 * m} coefficients, order {order} requested")
-
-    def step(cur: list[Fraction], prev: list[Fraction], k: int) -> list[Fraction]:
-        out = cur + [Fraction(0)]  # (1 - alpha_k x) cur - beta_k x^2 prev
-        for i, c in enumerate(cur):
-            out[i + 1] -= coeffs.alpha[k] * c
-        for i, c in enumerate(prev):
-            out[i + 2] -= coeffs.beta[k] * c
-        return out
-
-    num_prev, num = [], [coeffs.beta[0]]
-    den_prev, den = [Fraction(1)], [Fraction(1), -coeffs.alpha[0]]
-    for k in range(1, m):
-        num_prev, num = num, step(num, num_prev, k)
-        den_prev, den = den, step(den, den_prev, k)
+    den = monic_polynomials(coeffs, m)[m][::-1]
+    associated = RecurrenceCoeffs(alpha=coeffs.alpha[1:], beta=coeffs.beta[1:])
+    num = [coeffs.beta[0] * c for c in monic_polynomials(associated, m - 1)[m - 1][::-1]]
     series: list[Fraction] = []
     for n in range(order + 1):
         acc = num[n] if n < len(num) else Fraction(0)

@@ -73,12 +73,6 @@ class SequenceWindow:
     params: SequenceParams
     terms: tuple[Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.terms[n]
-
 
 def a_sequence(L: RationalLike, n_max: int) -> SequenceWindow:
     """Window a_0 .. a_n_max, with a_n = c(n;L) + c(n+1;L) and a_0 = L + 1.

@@ -176,10 +176,13 @@ class TruncatedSeries:
         return self * (Fraction(1) / as_rational(scalar))
 
     def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by x^k; for k < 0 the -k dropped coefficients must be zero."""
+        """Multiply by x^k; for k < 0 the -k dropped coefficients must be zero
+        and must leave at least one known coefficient."""
         F = self._F
         if k >= 0:
             return _series(self._r * self._s**k, self._s, [0] * k + list(F))
+        if -k > self.order:
+            raise ValueError(f"x^{k} times a series of order {self.order} leaves no known coefficient")
         if any(F[:-k]):
             raise ValueError(f"x^{k} times the series is not a power series")
         return _series(self._r / self._s**-k, self._s, list(F[-k:]))

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hankel_catalan import weight
-from hankel_catalan.cli import main
+from hankel_catalan.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -144,15 +144,25 @@ def test_series_f(capsys):
     assert [row["coeff"] for row in rows] == ["0", "3", "8", "28", "112", "484"]
 
 
-def test_series_default_terms_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("HF_DEFAULT_ORDER", "7")
-    code, out = run(capsys, ["series", "--L", "3", "--which", "G", "--format", "csv"])
-    assert code == 0
-    assert len(out.splitlines()) == 8  # header + 7 coefficients
-    monkeypatch.delenv("HF_DEFAULT_ORDER")
-    code, out = run(capsys, ["series", "--L", "3", "--which", "G", "--format", "csv"])
-    assert code == 0
-    assert len(out.splitlines()) == 31  # header + default 30
+def test_series_default_terms(capsys, monkeypatch):
+    # no environment variable sets the term count
+    monkeypatch.delenv("HF_DEFAULT_ORDER", raising=False)
+    for value in (None, "7", "abc"):
+        if value is not None:
+            monkeypatch.setenv("HF_DEFAULT_ORDER", value)
+        code, out = run(capsys, ["series", "--L", "3", "--which", "G", "--format", "csv"])
+        assert code == 0
+        assert len(out.splitlines()) == 31  # header + default 30
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    argv = ["hankel", "--L", "5/2", "--n", "4", "--format", "json"]
+    first = run(capsys, argv)
+    with pytest.raises(SystemExit):
+        main(["hankel", "--L", "5/2", "--n", "4", "--method", "nope"])
+    capsys.readouterr()
+    assert run(capsys, argv) == first
 
 
 def test_quad_ok_and_tolerance_breach(capsys):
@@ -200,18 +210,15 @@ def test_quad_below_one_counts_the_atom_at_zero(capsys, L):
 
 
 @pytest.mark.parametrize(
-    "argv, order",
+    "argv",
     [
-        (["series", "--L", "2"], "abc"),
-        (["quad", "--L", "8", "--moments", "300"], None),
-        (["quad", "--L", "1e400"], None),
-        (["quad", "--L", "1/2", "--tol", "nan"], None),
-        (["quad", "--L", "2", "--tol", "-1"], None),
+        ["quad", "--L", "8", "--moments", "300"],
+        ["quad", "--L", "1e400"],
+        ["quad", "--L", "1/2", "--tol", "nan"],
+        ["quad", "--L", "2", "--tol", "-1"],
     ],
 )
-def test_bad_input_exits_one_with_a_message(capsys, monkeypatch, argv, order):
-    if order is not None:
-        monkeypatch.setenv("HF_DEFAULT_ORDER", order)
+def test_bad_input_exits_one_with_a_message(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -261,21 +268,9 @@ def _argv(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    argv=_argv(),
-    order=st.one_of(
-        st.none(),
-        st.integers(-3, 40).map(str),
-        # no digits, so no huge term count; no NUL or surrogate, which no environment holds
-        st.text(st.characters(exclude_categories=["Nd", "Cs"], exclude_characters="\x00"), max_size=4),
-    ),
-)
-@example(argv=["series", "--L", "2"], order="abc")
-def test_any_argv_exits_by_the_contract(capsys, monkeypatch, argv, order):
-    if order is None:
-        monkeypatch.delenv("HF_DEFAULT_ORDER", raising=False)
-    else:
-        monkeypatch.setenv("HF_DEFAULT_ORDER", order)
+@given(argv=_argv())
+@example(argv=["series", "--L", "2"])
+def test_any_argv_exits_by_the_contract(capsys, argv):
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse: --help or a usage error

@@ -88,7 +88,7 @@ def test_surd_state_initial_values():
 
 def test_surd_state_l4_n3():
     state = surd_states(4, 3)[3]
-    assert state == SurdState(3, Fraction(1152), Fraction(256), Fraction(2176))
+    assert state == SurdState(Fraction(1152), Fraction(256), Fraction(2176))
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 6, Fraction(5, 2)])

@@ -133,6 +133,9 @@ def test_shift_divides_and_multiplies_by_x():
     up = s.shift(2)
     assert up.coefficient(3) == 2
     assert up.order == 7
+    with pytest.raises(ValueError):
+        TruncatedSeries([0, 0, 0], 2).shift(-3)  # no coefficient would be left
+    assert TruncatedSeries([0, 0, 5], 2).shift(-2).coefficients(0, 0) == [5]
 
 
 def test_coefficient_beyond_order_raises():

@@ -72,7 +72,7 @@ def test_minors_reject_bad_windows():
 
 def test_row_and_cell_closed_forms_share_the_integrality_warning(monkeypatch):
     def broken_states(L, n_max):
-        return [SurdState(n, Fraction(0), Fraction(0), Fraction(1)) for n in range(n_max + 1)]
+        return [SurdState(Fraction(0), Fraction(0), Fraction(1)) for _ in range(n_max + 1)]
 
     monkeypatch.setattr(hankel, "surd_states", broken_states)
     with pytest.warns(NonIntegerResult):
