@@ -9,7 +9,10 @@ denominators and rows swapped past a zero pivot, it gives one determinant
 (hankel_det). The `det` route itself is the Chebyshev pass in opoly. The
 closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs entirely on rational
 carriers of the surd expressions, so sqrt(L^2+4) never appears: phi_n,
-psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}.
+psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}. For
+L = p/q the carriers scaled by powers of q are integers with an integer
+recurrence (_carriers); the closed form, the carrier states and the chain's
+tilde stage each run it and build one Fraction per value.
 """
 
 from __future__ import annotations
@@ -138,61 +141,64 @@ class SurdState:
     sigma: Fraction
 
 
-def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
-    """States 0..n_max of (phi, psihat, sigma) via the shared linear recurrence."""
-    Lf = as_rational(L)
-    if Lf <= 0:
-        raise ValueError("parameter L must be positive")
-    p = 2 * (Lf + 2)  # t1 + t2
-    q = 4 * Lf  # t1 * t2
-    phi, phi_prev = 2 * (Lf + 2), Fraction(2)
-    psi, psi_prev = Fraction(2), Fraction(0)
-    states = [SurdState(phi_prev, psi_prev, Lf * psi_prev + phi_prev)]
-    if n_max == 0:
-        return states
-    states.append(SurdState(phi, psi, Lf * psi + phi))
-    for n in range(2, n_max + 1):
-        phi, phi_prev = p * phi - q * phi_prev, phi
-        psi, psi_prev = p * psi - q * psi_prev, psi
-        states.append(SurdState(phi, psi, Lf * psi + phi))
-    return states
+def _carriers(L: Fraction, n_max: int) -> tuple[list[int], list[int]]:
+    """Integer carriers P_n = q^n phi_n and Y_n = q^{n-1} psihat_n for n = 0..n_max.
 
-
-def _closed_value(Lf: Fraction, n: int, sigma: Fraction) -> Fraction:
-    """L^{n(n-1)/2} * sigma_n / 2^{n+1}, warning when integer L gives a fraction.
-
-    For integer L the result is provably an integer; a fractional outcome is
-    reported as a NonIntegerResult warning because it would falsify the
-    closed form rather than indicate a caller error. The warning names the
-    caller of the public function.
+    For L = p/q both obey X_{n+1} = 2(p+2q) X_n - 4pq X_{n-1}, from
+    P_0 = 2, P_1 = 2(p+2q) and Y_0 = 0, Y_1 = 2; then q^n sigma_n = p Y_n + P_n.
     """
-    value = Lf ** (n * (n - 1) // 2) * sigma / 2 ** (n + 1)
-    if Lf.denominator == 1 and value.denominator != 1:
-        warnings.warn(
-            f"h_{n}({Lf}) = {value} is not an integer", NonIntegerResult, stacklevel=3
-        )
-    return value
+    if L <= 0:
+        raise ValueError("parameter L must be positive")
+    p, q = L.numerator, L.denominator
+    s, t = 2 * (p + 2 * q), 4 * p * q
+    P, Y = [2, s], [0, 2]
+    for n in range(1, n_max):
+        P.append(s * P[n] - t * P[n - 1])
+        Y.append(s * Y[n] - t * Y[n - 1])
+    return P[: n_max + 1], Y[: n_max + 1]
+
+
+def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
+    """States 0..n_max of (phi, psihat, sigma), one Fraction per field from
+    the integer carriers."""
+    Lf = as_rational(L)
+    P, Y = _carriers(Lf, n_max)
+    p, q = Lf.numerator, Lf.denominator
+    states = []
+    low, high = 1, 1  # q^{n-1} (any value at n = 0, where Y_0 = 0) and q^n
+    for phi, psi in zip(P, Y):
+        states.append(SurdState(Fraction(phi, high), Fraction(psi, low), Fraction(p * psi + phi, high)))
+        low, high = high, high * q
+    return states
 
 
 def h_closed_form(L: RationalLike, n: int) -> Fraction:
     """Transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    Lf = as_rational(L)
-    return _closed_value(Lf, n, surd_states(Lf, n)[n].sigma)
+    values = h_closed_forms(L, n)
+    return values[-1] if values else Fraction(1)
 
 
 def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
-    """Closed-form values h_1 .. h_n_max from one run of the carrier recurrence."""
+    """Closed-form values h_1 .. h_n_max from one run of the integer carriers.
+
+    Each value is (q^n sigma_n / (2^{n+1} q^n)) * L^{n(n-1)/2}, both factors
+    reduced on their own. For integer L the result is provably an integer; a
+    fractional outcome is reported as a NonIntegerResult warning, because it
+    would falsify the closed form rather than indicate a caller error.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
-    states = surd_states(Lf, n_max)
+    P, Y = _carriers(Lf, n_max)
+    p, q = Lf.numerator, Lf.denominator
     values = []
-    # A loop, not a comprehension: before Python 3.12 a comprehension has its
-    # own frame, which would shift the warning's stacklevel.
     for n in range(1, n_max + 1):
-        values.append(_closed_value(Lf, n, states[n].sigma))
+        value = Fraction(p * Y[n] + P[n], 2 ** (n + 1) * q**n) * Lf ** (n * (n - 1) // 2)
+        if q == 1 and value.denominator != 1:
+            warnings.warn(f"h_{n}({Lf}) = {value} is not an integer", NonIntegerResult, stacklevel=2)
+        values.append(value)
     return values
 
 

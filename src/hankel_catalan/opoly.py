@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .hankel import InsufficientTerms, surd_states
+from .hankel import InsufficientTerms, _carriers, surd_states
 from .sequences import RationalLike, SequenceWindow, as_rational, window_terms
 from .series import TruncatedSeries
 
@@ -118,19 +118,24 @@ def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
     beta_n = L psihat_n psihat_{n+2} / psihat_{n+1}^2 for n >= 1, while
     beta_0 is (L+2)/2 times pi (kept as the rational factor).
     The psihat ratios are where the sqrt(L) and sqrt(L^2+4) factors cancel,
-    which is what makes this stage exactly rational.
+    which is what makes this stage exactly rational. For L = p/q, with the
+    integer carriers Y_n = q^{n-1} psihat_n, each coefficient is one Fraction
+    of integers:
+    alpha_n = (Y_{n+2}^2 - 2q Y_{n+1} Y_{n+2} + 4pq Y_{n+1}^2) / (2q Y_{n+1} Y_{n+2}),
+    beta_n = p Y_n Y_{n+2} / (q Y_{n+1}^2).
     """
     Lf = as_rational(L)
     if n_max < 1:
         raise ValueError("need at least one coefficient")
-    states = surd_states(Lf, n_max + 1)
-    psihat = [s.psihat for s in states]
+    _, Y = _carriers(Lf, n_max + 1)
+    p, q = Lf.numerator, Lf.denominator
     alpha = []
     beta = [(Lf + 2) / 2]
     for n in range(n_max):
-        alpha.append(-1 + psihat[n + 2] / (2 * psihat[n + 1]) + 2 * Lf * psihat[n + 1] / psihat[n + 2])
+        y0, y1, y2 = Y[n], Y[n + 1], Y[n + 2]
+        alpha.append(Fraction(y2 * y2 - 2 * q * y1 * y2 + 4 * p * q * y1 * y1, 2 * q * y1 * y2))
         if n >= 1:
-            beta.append(Lf * psihat[n] * psihat[n + 2] / psihat[n + 1] ** 2)
+            beta.append(Fraction(p * y0 * y2, q * y1 * y1))
     return ChainStage(stage="tilde", L=Lf, alpha=tuple(alpha), beta=tuple(beta))
 
 

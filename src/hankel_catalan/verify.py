@@ -57,7 +57,10 @@ def verify_row(
     reports = []
     for n in range(1, n_max + 1):
         values = {route: column[n - 1] for route, column in columns.items()}
-        reports.append(VerificationReport(Lf, n, values, len(set(values.values())) <= 1))
+        # Compared with the first route, not hashed: a Fraction's hash takes a
+        # modular inverse of its denominator.
+        row = list(values.values())
+        reports.append(VerificationReport(Lf, n, values, all(value == row[0] for value in row[1:])))
     return reports
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .opoly import chain_coeffs
 from .sequences import RationalLike, as_rational
+
+if TYPE_CHECKING:  # numpy is imported where it is used, which keeps it out of start-up
+    import numpy as np
 
 
 class DomainError(ValueError):
@@ -69,6 +70,8 @@ def weight_eval(x: float, spec: WeightSpec) -> float:
 
 def _theta_nodes(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint nodes and weights on (0, pi); an open rule, so x = 0 is never sampled."""
+    import numpy as np
+
     n = cfg.node_count
     theta = (np.arange(n) + 0.5) * (math.pi / n)
     w = np.full(n, math.pi / n)
@@ -81,6 +84,8 @@ def _substituted(spec: WeightSpec, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     integral f(x) w(x) dx = (2L/pi) integral_0^pi f(x(theta)) (1 + 1/x) sin^2(theta) dtheta,
     and for L < 1 the atom adds the node x = 0 with factor 1 - L.
     """
+    import numpy as np
+
     theta, w = _theta_nodes(cfg)
     x = spec.L + 1.0 + 2.0 * math.sqrt(spec.L) * np.cos(theta)
     factor = (2.0 * spec.L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2
@@ -104,6 +109,8 @@ def polynomial_quadrature(
     spec: WeightSpec, coeffs: Sequence, cfg: QuadratureConfig
 ) -> float:
     """Integral of a polynomial (ascending coefficients) against the measure."""
+    import numpy as np
+
     x, w = _substituted(spec, cfg)
     values = np.polynomial.polynomial.polyval(x, np.array([float(c) for c in coeffs]))
     return float(w @ values)
@@ -118,6 +125,8 @@ def orthogonality_check(L: RationalLike, n_max: int, cfg: QuadratureConfig) -> f
     pair integral is divided by the product of the quadrature norms, so the
     result is a dimensionless residual that should sit at quadrature noise.
     """
+    import numpy as np
+
     Lf = as_rational(L)
     coeffs, _ = chain_coeffs(Lf, max(n_max, 1))
     spec = WeightSpec.for_parameter(float(Lf))

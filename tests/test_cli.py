@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hankel_catalan
 from hankel_catalan import weight
 from hankel_catalan.cli import build_parser, main
 
@@ -277,3 +281,13 @@ def test_any_argv_exits_by_the_contract(capsys, argv):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+def test_start_up_leaves_numpy_unimported():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import hankel_catalan.cli as cli; "
+        "cli.build_parser(); print('numpy' in sys.modules)"
+    )
+    src = str(Path(hankel_catalan.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "False"

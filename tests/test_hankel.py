@@ -3,6 +3,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankel_catalan.hankel import (
     InsufficientTerms,
@@ -16,6 +18,7 @@ from hankel_catalan.hankel import (
     lemma_identities,
     surd_states,
 )
+from hankel_catalan.opoly import tilde_coeffs
 from hankel_catalan.sequences import a_sequence, gen_catalan
 
 
@@ -175,3 +178,51 @@ def test_no_integrality_warning_for_integer_parameters():
         for L in range(1, 5):
             for n in range(26):
                 h_closed_form(L, n)
+
+
+# -- the integer carrier kernel against plain Fraction arithmetic ------------
+
+#: L = p/q with p, q <= 10^4, below and above 1
+RATIONAL_L = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4))
+
+
+def fraction_states(L, n_max):
+    """The carrier recurrence run directly in Fractions: the kernel's oracle."""
+    phi, psihat = [Fraction(2), 2 * (L + 2)], [Fraction(0), Fraction(2)]
+    while len(phi) <= n_max:
+        phi.append(2 * (L + 2) * phi[-1] - 4 * L * phi[-2])
+        psihat.append(2 * (L + 2) * psihat[-1] - 4 * L * psihat[-2])
+    return [SurdState(f, g, L * g + f) for f, g in zip(phi, psihat)][: n_max + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=RATIONAL_L, n_max=st.integers(0, 30))
+@example(L=Fraction(37, 91), n_max=30)
+@example(L=Fraction(1, 10**4), n_max=2)
+def test_surd_states_match_the_fraction_recurrence(L, n_max):
+    assert surd_states(L, n_max) == fraction_states(L, n_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=RATIONAL_L, n_max=st.integers(1, 30))
+@example(L=Fraction(37, 91), n_max=30)
+def test_tilde_coeffs_match_the_psihat_ratios(L, n_max):
+    psihat = [state.psihat for state in fraction_states(L, n_max + 1)]
+    alpha = [
+        -1 + psihat[n + 2] / (2 * psihat[n + 1]) + 2 * L * psihat[n + 1] / psihat[n + 2]
+        for n in range(n_max)
+    ]
+    beta = [(L + 2) / 2] + [
+        L * psihat[n] * psihat[n + 2] / psihat[n + 1] ** 2 for n in range(1, n_max)
+    ]
+    stage = tilde_coeffs(L, n_max)
+    assert stage.alpha == tuple(alpha)
+    assert stage.beta == tuple(beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=RATIONAL_L, n_max=st.integers(0, 30))
+@example(L=Fraction(37, 91), n_max=30)
+@example(L=Fraction(7), n_max=30)
+def test_closed_forms_match_the_polynomial_forms(L, n_max):
+    assert h_closed_forms(L, n_max) == h_polynomial_forms(L, n_max)

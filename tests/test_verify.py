@@ -8,7 +8,6 @@ from hankel_catalan import hankel
 from hankel_catalan.hankel import (
     InsufficientTerms,
     NonIntegerResult,
-    SurdState,
     ZeroLeadingMinor,
     h_closed_form,
     h_closed_forms,
@@ -71,10 +70,11 @@ def test_minors_reject_bad_windows():
 
 
 def test_row_and_cell_closed_forms_share_the_integrality_warning(monkeypatch):
-    def broken_states(L, n_max):
-        return [SurdState(Fraction(0), Fraction(0), Fraction(1)) for _ in range(n_max + 1)]
+    def broken_carriers(L, n_max):
+        # q^n sigma_n = p Y_n + P_n = 1, so h_n = L^{n(n-1)/2} / 2^{n+1}
+        return [1] * (n_max + 1), [0] * (n_max + 1)
 
-    monkeypatch.setattr(hankel, "surd_states", broken_states)
+    monkeypatch.setattr(hankel, "_carriers", broken_carriers)
     with pytest.warns(NonIntegerResult):
         h_closed_form(3, 2)
     with pytest.warns(NonIntegerResult):
