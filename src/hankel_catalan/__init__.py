@@ -39,7 +39,6 @@ from .opoly import (
     ChainStage,
     DivisionByZeroR,
     RecurrenceCoeffs,
-    ZeroNorm,
     base_stage,
     breve_coeffs,
     chain_coeffs,
@@ -70,7 +69,6 @@ from .series import (
     BadConstantTerm,
     TruncatedSeries,
     ZeroLeadingCoefficient,
-    geometric,
 )
 from .verify import VerificationReport, verify_cell, verify_grid, verify_row
 from .weight import (

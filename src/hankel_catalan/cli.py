@@ -22,7 +22,7 @@ from .genfunc import PoleNotCancelled, big_g_series, f_series, rho_series
 from .hankel import odd_fibonacci
 from .opoly import chain_coeffs, stieltjes_from_moments
 from .sequences import a_sequence
-from .verify import ROUTES, VerificationReport, first_mismatch, verify_grid, verify_row
+from .verify import ROUTES, VerificationReport, verify_grid, verify_row
 from .weight import QuadratureConfig, WeightSpec, moment_quadratures
 
 EXIT_OK = 0
@@ -135,7 +135,7 @@ def cmd_seq(args) -> CommandResult:
 
 def _flag_first_mismatch(result: CommandResult, reports: Sequence[VerificationReport]) -> bool:
     """Mark the result as a mismatch at the first report whose routes disagree."""
-    bad = first_mismatch(reports)
+    bad = next((report for report in reports if not report.agree), None)
     if bad is None:
         return False
     result.status = "mismatch"
@@ -264,8 +264,9 @@ def cmd_series(args) -> CommandResult:
     ]
     if args.which == "G":
         result.summary["pole_coefficient"] = "0"
-        expected = a_sequence(args.L, order)
-        if list(series.coefficients(0, order)) != list(expected.terms):
+    if args.which != "rho":
+        lo = 0 if args.which == "G" else 1  # G's t^k and F's u^{k+1} coefficients are a_k
+        if series.coefficients(lo, order) != list(a_sequence(args.L, order).terms[: terms - lo]):
             result.status = "mismatch"
             result.summary["first_mismatch"] = {"detail": "coefficients differ from the sequence"}
     return result
@@ -317,29 +318,29 @@ def cmd_quad(args) -> CommandResult:
 # -- rendering ----------------------------------------------------------------
 
 
-def _render_json(result: CommandResult, out) -> None:
+def _render_json(result: CommandResult) -> None:
     for row in result.rows:
-        print(json.dumps(row, sort_keys=True), file=out)
+        print(json.dumps(row, sort_keys=True))
     trailer = {
         "command": result.command,
         "params": result.params,
         "status": result.status,
         **result.summary,
     }
-    print(json.dumps(trailer, sort_keys=True), file=out)
+    print(json.dumps(trailer, sort_keys=True))
 
 
-def _render_csv(result: CommandResult, out) -> None:
+def _render_csv(result: CommandResult) -> None:
     if not result.rows:
         return
     fields = list(result.rows[0].keys())
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for row in result.rows:
         writer.writerow(row)
 
 
-def _render_plain(result: CommandResult, out) -> None:
+def _render_plain(result: CommandResult) -> None:
     if result.rows:
         fields = list(result.rows[0].keys())
         table = [[str(row.get(name, "")) for name in fields] for row in result.rows]
@@ -347,21 +348,20 @@ def _render_plain(result: CommandResult, out) -> None:
             max(len(name), *(len(line[i]) for line in table))
             for i, name in enumerate(fields)
         ]
-        print("  ".join(name.ljust(widths[i]) for i, name in enumerate(fields)), file=out)
+        print("  ".join(name.ljust(widths[i]) for i, name in enumerate(fields)))
         for line in table:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)), file=out)
+            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)))
     extras = " ".join(f"{key}={value}" for key, value in result.summary.items())
-    print(f"status={result.status}" + (f" {extras}" if extras else ""), file=out)
+    print(f"status={result.status}" + (f" {extras}" if extras else ""))
 
 
-def render(result: CommandResult, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def render(result: CommandResult, fmt: str) -> None:
     if fmt == "json":
-        _render_json(result, out)
+        _render_json(result)
     elif fmt == "csv":
-        _render_csv(result, out)
+        _render_csv(result)
     else:
-        _render_plain(result, out)
+        _render_plain(result)
 
 
 COMMANDS = {

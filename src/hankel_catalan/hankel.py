@@ -33,7 +33,8 @@ class InsufficientTerms(ValueError):
 
 class ZeroLeadingMinor(ZeroDivisionError):
     """A leading minor vanished: the matrix is not positive definite, and
-    elimination without row swaps cannot go on."""
+    neither elimination without row swaps nor the Chebyshev algorithm in
+    opoly, whose norm U[Q_k^2] = h_{k+1}/h_k then vanishes, can go on."""
 
 
 class NonIntegerResult(RuntimeWarning):
@@ -149,6 +150,8 @@ def _carriers(L: Fraction, n_max: int) -> tuple[list[int], list[int]]:
     """
     if L <= 0:
         raise ValueError("parameter L must be positive")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     p, q = L.numerator, L.denominator
     s, t = 2 * (p + 2 * q), 4 * p * q
     P, Y = [2, s], [0, 2]
@@ -174,10 +177,7 @@ def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
 
 def h_closed_form(L: RationalLike, n: int) -> Fraction:
     """Transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    values = h_closed_forms(L, n)
-    return values[-1] if values else Fraction(1)
+    return h_closed_forms(L, n)[-1] if n else Fraction(1)
 
 
 def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -188,8 +188,6 @@ def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
     fractional outcome is reported as a NonIntegerResult warning, because it
     would falsify the closed form rather than indicate a caller error.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
     P, Y = _carriers(Lf, n_max)
     p, q = Lf.numerator, Lf.denominator
@@ -235,9 +233,7 @@ def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
 
 def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
     """Transform value h_n as an explicit polynomial in L; h_0 = 1."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return h_polynomial_forms(L, n)[-1] if n > 0 else Fraction(1)
+    return h_polynomial_forms(L, n)[-1] if n else Fraction(1)
 
 
 def odd_fibonacci(n_max: int) -> list[int]:

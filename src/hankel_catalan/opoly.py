@@ -26,17 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .hankel import InsufficientTerms, _carriers, surd_states
+from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, surd_states
 from .sequences import RationalLike, SequenceWindow, as_rational, window_terms
 from .series import TruncatedSeries
 
 
 class DivisionByZeroR(ZeroDivisionError):
     """An auxiliary ratio r_n hit zero; the functional lost positive-definiteness."""
-
-
-class ZeroNorm(ZeroDivisionError):
-    """A squared norm vanished; the functional is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ def _chebyshev(
     alpha, beta, norms = [], [], []
     for k in range(n_max):
         if cur[0] == 0:
-            raise ZeroNorm(f"U[Q_{k}^2] = 0")
+            raise ZeroLeadingMinor(f"U[Q_{k}^2] = 0")
         norms.append(Fraction(cur[0], den))
         b_k = Fraction(cur[0] * prev_den, den * prev[0])
         beta.append(b_k)
@@ -250,6 +246,8 @@ def stieltjes_from_moments(
     """Recurrence coefficients straight from the moments a_0 .. a_{2 n_max - 1},
     exactly, in O(n^2) integer operations (the Chebyshev algorithm; see
     _chebyshev)."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
@@ -266,7 +264,7 @@ def chebyshev_minors(
     (a_{i+j}), done with its structure: the norms sigma_{k,k} are the
     diagonal of D, so h_n = prod_{k<n} sigma_{k,k} whenever every leading
     minor is nonzero. Reads a_0 .. a_{2 n_max - 2}, the entries of the
-    matrix; a vanishing leading minor raises ZeroNorm.
+    matrix; a vanishing leading minor raises ZeroLeadingMinor.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -283,48 +281,48 @@ def chebyshev_minors(
 
 def monic_polynomials(coeffs: RecurrenceCoeffs, count: int) -> list[list[Fraction]]:
     """Q_0 .. Q_count as ascending coefficient lists, from the recurrence."""
-    if count >= len(coeffs.alpha) + 1:
-        raise ValueError(f"need {count} coefficient pairs, have {len(coeffs.alpha)}")
-    polys = [[Fraction(1)]]
-    if count == 0:
-        return polys
-    polys.append([-coeffs.alpha[0], Fraction(1)])
-    for n in range(1, count):
-        prev, cur = polys[n - 1], polys[n]
+    if not 0 <= count <= len(coeffs.alpha):
+        raise ValueError(f"need 0 <= count <= {len(coeffs.alpha)}, got {count}")
+    prev, polys = [], [[Fraction(1)]]  # Q_{-1} = 0, Q_0 = 1
+    for n in range(count):
+        cur = polys[n]
         nxt = [Fraction(0)] + cur
         for i, c in enumerate(cur):
             nxt[i] -= coeffs.alpha[n] * c
         for i, c in enumerate(prev):
             nxt[i] -= coeffs.beta[n] * c
+        prev = cur
         polys.append(nxt)
     return polys
 
 
 def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
-    """Expand the continued fraction a_0/(1 - alpha_0 x - beta_1 x^2/(...)).
+    """Expand the continued fraction a_0/(1 - alpha_0 x - beta_1 x^2/(1 - alpha_1 x - ...)).
 
-    The depth-m convergent is P_m/D_m: the denominator D_m(x) = x^m Q_m(1/x)
-    is the reversed monic polynomial, and the numerator
-    P_m(x) = a_0 x^{m-1} Q^(1)_{m-1}(1/x) is a_0 times the reversed associated
-    polynomial, the one built from alpha_1.., beta_1.. (Gautschi, Orthogonal
-    Polynomials: Computation and Approximation, 2004). D_m has constant term
-    1, and one exact long division gives the series. A depth of m
-    coefficient pairs pins coefficients 0..2m-1, which must cover the
-    requested order. Note the partial denominators are 1 - alpha_k x: the
-    opposite sign fails to reproduce the moments for any positive sequence.
+    The coefficient of x^n is a_0 = beta_0 times the weight of the Motzkin
+    paths of length n from height 0 back to 0 (Flajolet, Combinatorial
+    aspects of continued fractions, 1980): an up step weighs 1, a level step
+    at height k weighs alpha_k and a down step from height k weighs beta_k.
+    The level weight is +alpha_k because the partial denominators are
+    1 - alpha_k x; the opposite sign fails to reproduce the moments for any
+    positive sequence. paths[k] is the weight of the paths of length n that
+    end at height k; above min(n+1, order-n-1) a path cannot get back to 0
+    in time. A depth of m coefficient pairs pins coefficients 0..2m-1, which
+    must cover the requested order.
     """
     m = len(coeffs.alpha)
     if order > 2 * m - 1:
         raise InsufficientTerms(f"depth {m} pins {2 * m} coefficients, order {order} requested")
-    den = monic_polynomials(coeffs, m)[m][::-1]
-    associated = RecurrenceCoeffs(alpha=coeffs.alpha[1:], beta=coeffs.beta[1:])
-    num = [coeffs.beta[0] * c for c in monic_polynomials(associated, m - 1)[m - 1][::-1]]
-    series: list[Fraction] = []
+    alpha, down = coeffs.alpha, (*coeffs.beta[1:], 0)
+    paths = [Fraction(1)]
+    series = []
     for n in range(order + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for i in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[i] * series[n - i]
-        series.append(acc)
+        series.append(coeffs.beta[0] * paths[0])
+        ext = [0, *paths, 0, 0]  # ext[k + 1] = paths[k]
+        paths = [
+            ext[k] + alpha[k] * ext[k + 1] + down[k] * ext[k + 2]
+            for k in range(min(n + 1, order - n - 1) + 1)
+        ]
     return TruncatedSeries(series, order)
 
 
@@ -334,6 +332,8 @@ def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
     Computed in the running form h_n = (beta_0 beta_1 ... beta_{n-1}) h_{n-1}
     with beta_0 = a_0 and h_0 = 1.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if n_max > len(coeffs.beta):
         raise InsufficientTerms(f"need beta_0..beta_{n_max - 1}, have {len(coeffs.beta)}")
     values = []
@@ -348,7 +348,7 @@ def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
 
 def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
     """Hankel determinant h_n from the beta products; h_0 = 1."""
-    return h_products(coeffs, n)[-1] if n > 0 else Fraction(1)
+    return h_products(coeffs, n)[-1] if n else Fraction(1)
 
 
 def norm_closed_form(L: RationalLike, n: int) -> Fraction:

@@ -237,9 +237,3 @@ class TruncatedSeries:
                 raise ArithmeticError(f"coefficient {n} of the root is not an integer")
             G.append(half)
         return _series(Fraction(1), 4 * self._s * c, G)
-
-
-def geometric(ratio: Scalar, order: int) -> TruncatedSeries:
-    """The series 1 + r*x + r^2*x^2 + ... through the given order."""
-    r = as_rational(ratio)
-    return _series(Fraction(1), r.denominator, _rescaled([1] * (order + 1), r.numerator))

@@ -76,10 +76,3 @@ def verify_grid(L_values: Iterable[RationalLike], n_max: int) -> list[Verificati
         for L in sorted(as_rational(L) for L in L_values)
         for report in verify_row(L, n_max)
     ]
-
-
-def first_mismatch(reports: Sequence[VerificationReport]) -> VerificationReport | None:
-    for report in reports:
-        if not report.agree:
-            return report
-    return None

@@ -68,34 +68,30 @@ def weight_eval(x: float, spec: WeightSpec) -> float:
     return (1.0 + 1.0 / x) * math.sqrt(radicand) / (2.0 * math.pi)
 
 
-def _theta_nodes(cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes and weights on (0, pi); an open rule, so x = 0 is never sampled."""
-    import numpy as np
-
-    n = cfg.node_count
-    theta = (np.arange(n) + 0.5) * (math.pi / n)
-    w = np.full(n, math.pi / n)
-    return theta, w
-
-
 def _substituted(spec: WeightSpec, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Abscissae and combined quadrature factors for integrals against the measure.
 
     integral f(x) w(x) dx = (2L/pi) integral_0^pi f(x(theta)) (1 + 1/x) sin^2(theta) dtheta,
-    and for L < 1 the atom adds the node x = 0 with factor 1 - L.
+    and for L < 1 the atom adds the node x = 0 with factor 1 - L. The theta
+    integral is the midpoint rule on (0, pi), an open rule, so x = 0 is
+    never sampled.
     """
     import numpy as np
 
-    theta, w = _theta_nodes(cfg)
+    n = cfg.node_count
+    step = math.pi / n
+    theta = (np.arange(n) + 0.5) * step
     x = spec.L + 1.0 + 2.0 * math.sqrt(spec.L) * np.cos(theta)
-    factor = (2.0 * spec.L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2
+    w = step * ((2.0 * spec.L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2)
     if spec.L < 1.0:
-        return np.append(x, 0.0), np.append(w * factor, 1.0 - spec.L)
-    return x, w * factor
+        return np.append(x, 0.0), np.append(w, 1.0 - spec.L)
+    return x, w
 
 
 def moment_quadratures(spec: WeightSpec, n_max: int, cfg: QuadratureConfig) -> list[float]:
     """Approximate moments 0 .. n_max of the measure from one set of nodes."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     x, w = _substituted(spec, cfg)
     return [float(w @ x**n) for n in range(n_max + 1)]
 

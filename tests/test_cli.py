@@ -148,6 +148,21 @@ def test_series_f(capsys):
     assert [row["coeff"] for row in rows] == ["0", "3", "8", "28", "112", "484"]
 
 
+@pytest.mark.parametrize("which, function", [("G", "big_g_series"), ("F", "f_series")])
+def test_series_coefficients_must_reproduce_the_sequence(capsys, monkeypatch, which, function):
+    from hankel_catalan import cli
+    from hankel_catalan.series import TruncatedSeries
+
+    real = getattr(cli, function)
+    monkeypatch.setattr(
+        cli, function, lambda L, order: real(L, order) + TruncatedSeries([0] * order + [1], order)
+    )
+    code, out = run(capsys, ["series", "--L", "2", "--terms", "6", "--which", which])
+    assert code == 2
+    assert out.splitlines()[-1].startswith("status=mismatch")
+    assert "first_mismatch={'detail': 'coefficients differ from the sequence'}" in out
+
+
 def test_series_default_terms(capsys, monkeypatch):
     # no environment variable sets the term count
     monkeypatch.delenv("HF_DEFAULT_ORDER", raising=False)

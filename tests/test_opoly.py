@@ -3,11 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hankel_catalan.hankel import InsufficientTerms, h_closed_form, hankel_det, surd_states
+from hankel_catalan.hankel import (
+    InsufficientTerms,
+    ZeroLeadingMinor,
+    h_closed_form,
+    h_polynomial_form,
+    hankel_det,
+    surd_states,
+)
 from hankel_catalan.opoly import (
     RecurrenceCoeffs,
-    ZeroNorm,
     base_stage,
     breve_coeffs,
     chain_coeffs,
@@ -24,6 +32,7 @@ from hankel_catalan.opoly import (
     tilde_coeffs,
 )
 from hankel_catalan.sequences import a_sequence
+from hankel_catalan.weight import QuadratureConfig, WeightSpec, moment_quadrature
 
 
 def test_lambda_initial_values():
@@ -193,9 +202,9 @@ def test_moment_coefficients_make_the_polynomials_orthogonal(L):
 
 
 def test_stieltjes_zero_norm():
-    with pytest.raises(ZeroNorm):
+    with pytest.raises(ZeroLeadingMinor):
         stieltjes_from_moments([1, 0, 0, 0], 2)
-    with pytest.raises(ZeroNorm):
+    with pytest.raises(ZeroLeadingMinor):
         stieltjes_from_moments([0, 1], 1)
 
 
@@ -227,6 +236,48 @@ def test_jfraction_depth_guard():
     coeffs, _ = chain_coeffs(4, 3)
     with pytest.raises(InsufficientTerms):
         jfraction_series(coeffs, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-5, max_value=5, max_denominator=9),
+            st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_chebyshev_inverts_the_jfraction(pairs):
+    # alpha of either sign and beta > 0 that no sequence of this package produces
+    coeffs = RecurrenceCoeffs(alpha=tuple(a for a, _ in pairs), beta=tuple(b for _, b in pairs))
+    m = len(pairs)
+    moments = jfraction_series(coeffs, 2 * m - 1).coefficients(0, 2 * m - 1)
+    assert stieltjes_from_moments(moments, m) == coeffs
+
+
+_COEFFS = chain_coeffs(2, 3)[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: h_from_products(_COEFFS, -1), id="h_from_products"),
+        pytest.param(lambda: h_closed_form(2, -1), id="h_closed_form"),
+        pytest.param(lambda: h_polynomial_form(2, -1), id="h_polynomial_form"),
+        pytest.param(
+            lambda: moment_quadrature(WeightSpec.for_parameter(2.0), -1, QuadratureConfig()),
+            id="moment_quadrature",
+        ),
+        pytest.param(lambda: stieltjes_from_moments(a_sequence(2, 5), -1), id="stieltjes_from_moments"),
+        pytest.param(lambda: surd_states(2, -1), id="surd_states"),
+        pytest.param(lambda: monic_polynomials(_COEFFS, -1), id="monic_polynomials"),
+    ],
+)
+def test_a_negative_size_is_rejected(call):
+    with pytest.raises(ValueError, match="nonnegative|count"):
+        call()
 
 
 def test_h_from_products_values():
@@ -266,7 +317,7 @@ def fraction_chebyshev(seq, n_max):
     for k in range(n_max):
         norm = cur[k]
         if norm == 0:
-            raise ZeroNorm(f"U[Q_{k}^2] = 0")
+            raise ZeroLeadingMinor(f"U[Q_{k}^2] = 0")
         ratio = cur[k + 1] / norm
         a_k, b_k = ratio - prev_ratio, moments[0] if k == 0 else norm / prev[k - 1]
         alpha.append(a_k)
@@ -309,17 +360,17 @@ def test_integer_rows_match_the_fraction_pass_on_random_moments():
         outcomes.add(expected[0] if isinstance(expected, tuple) else RecurrenceCoeffs)
         minors = [hankel_det(moments, j) for j in range(1, n + 1)]
         if 0 in minors:
-            with pytest.raises(ZeroNorm, match=rf"U\[Q_{minors.index(0)}\^2\] = 0"):
+            with pytest.raises(ZeroLeadingMinor, match=rf"U\[Q_{minors.index(0)}\^2\] = 0"):
                 chebyshev_minors(moments[: 2 * n - 1], n)
         else:
             assert chebyshev_minors(moments[: 2 * n - 1], n) == minors
-    assert outcomes == {RecurrenceCoeffs, ZeroNorm, ValueError}
+    assert outcomes == {RecurrenceCoeffs, ZeroLeadingMinor, ValueError}
 
 
 def test_chebyshev_minors_edges():
     assert chebyshev_minors([], 0) == []
     assert chebyshev_minors([Fraction(-3, 2)], 1) == [Fraction(-3, 2)]
-    with pytest.raises(ZeroNorm):  # h_1 = 0, though h_2 = -1
+    with pytest.raises(ZeroLeadingMinor):  # h_1 = 0, though h_2 = -1
         chebyshev_minors([0, 1, 0], 2)
     with pytest.raises(InsufficientTerms):
         chebyshev_minors(a_sequence(2, 4), 4)
