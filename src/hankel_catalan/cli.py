@@ -3,7 +3,8 @@
 Subcommands: seq, hankel, verify, recurrence, series, quad. Every exact
 quantity is printed as an arbitrary-precision decimal or p/q string; only
 the quad command prints float64, with explicit error columns. Exit codes:
-0 all checks pass, 1 usage error, 2 mathematical mismatch.
+0 all checks pass, 1 usage error, 2 mathematical mismatch. A command may
+find several disagreements; the first one recorded is the one reported.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ class CommandResult:
     rows: list[dict[str, object]] = field(default_factory=list)
     summary: dict[str, object] = field(default_factory=dict)
     status: str = "ok"
+
+    def mismatch(self, detail: dict[str, object]) -> None:
+        """Record a disagreement; only the first one recorded is reported."""
+        if self.status == "ok":
+            self.status = "mismatch"
+            self.summary["first_mismatch"] = detail
 
 
 class UsageError(Exception):
@@ -125,91 +132,77 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command bodies -----------------------------------------------------------
 
 
-def cmd_seq(args) -> CommandResult:
+def _params(args: argparse.Namespace) -> dict[str, str]:
+    """Every parsed option but the subcommand and the format, as text."""
+
+    def text(value: object) -> str:
+        if isinstance(value, list):
+            return ",".join(map(str, value))
+        return f"{value:g}" if isinstance(value, float) else str(value)
+
+    return {k: text(v) for k, v in vars(args).items() if k not in ("command", "format")}
+
+
+def cmd_seq(args, result: CommandResult) -> None:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
     window = a_sequence(args.L, args.n)
-    rows = [{"n": n, "a": str(term)} for n, term in enumerate(window.terms)]
-    return CommandResult("seq", {"L": str(args.L), "n": str(args.n)}, rows)
+    result.rows = [{"n": n, "a": str(term)} for n, term in enumerate(window.terms)]
 
 
-def _flag_first_mismatch(result: CommandResult, reports: Sequence[VerificationReport]) -> bool:
-    """Mark the result as a mismatch at the first report whose routes disagree."""
-    bad = next((report for report in reports if not report.agree), None)
-    if bad is None:
-        return False
-    result.status = "mismatch"
-    result.summary["first_mismatch"] = {
-        "L": str(bad.L),
-        "n": bad.n,
-        **{name: str(value) for name, value in bad.values.items()},
-    }
-    return True
+def _report_rows(result: CommandResult, reports: Sequence[VerificationReport]) -> list[dict]:
+    """One row per report: n and each route's value as text. The first report
+    whose routes disagree is recorded as the mismatch.
+
+    Agreeing routes share one conversion, since converting a large value to
+    decimal can cost more than computing it.
+    """
+    rows = []
+    for report in reports:
+        if report.agree:
+            text = str(next(iter(report.values.values())))
+            row: dict[str, object] = {"n": report.n, **dict.fromkeys(report.values, text)}
+        else:
+            row = {"n": report.n, **{name: str(value) for name, value in report.values.items()}}
+            result.mismatch({"L": str(report.L), **row})
+        rows.append(row)
+    return rows
 
 
-def _value_texts(report: VerificationReport) -> dict[str, str]:
-    """Route -> printed value. Agreeing routes share one conversion, since
-    converting a large value to decimal can cost more than computing it."""
-    if report.agree:
-        text = str(next(iter(report.values.values())))
-        return dict.fromkeys(report.values, text)
-    return {name: str(value) for name, value in report.values.items()}
-
-
-def cmd_hankel(args) -> CommandResult:
+def cmd_hankel(args, result: CommandResult) -> None:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     routes = ROUTES if args.method == "all" else (args.method,)
     reports = verify_row(args.L, args.n, routes)
-    rows = []
-    for report in reports:
-        row: dict[str, object] = {"n": report.n}
-        row.update(_value_texts(report))
-        if args.method == "all":
+    result.rows = _report_rows(result, reports)
+    if args.method == "all":
+        for report, row in zip(reports, result.rows):
             row["agree"] = report.agree
-        rows.append(row)
-    result = CommandResult(
-        "hankel", {"L": str(args.L), "n": str(args.n), "method": args.method}, rows
-    )
-    _flag_first_mismatch(result, reports)
-    return result
 
 
-def cmd_verify(args) -> CommandResult:
+def cmd_verify(args, result: CommandResult) -> None:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     reports = verify_grid(args.L, args.n_max)
-    with_fib = any(L == 1 for L in args.L)
-    fib = odd_fibonacci(args.n_max) if with_fib else []
-    rows = []
-    for report in reports:
-        row: dict[str, object] = {"L": str(report.L), "n": report.n}
-        row.update(_value_texts(report))
-        row["agree"] = report.agree
-        if with_fib:
+    fib = odd_fibonacci(args.n_max) if any(L == 1 for L in args.L) else None
+    # every row is built, and a route mismatch recorded, before the Fibonacci check
+    for report, cells in zip(reports, _report_rows(result, reports)):
+        row = {"L": str(report.L), **cells, "agree": report.agree}
+        if fib is not None:
             row["fibonacci"] = str(fib[report.n - 1]) if report.L == 1 else ""
-        rows.append(row)
-    params = {"L": ",".join(str(L) for L in args.L), "n_max": str(args.n_max)}
-    result = CommandResult("verify", params, rows)
-    if not _flag_first_mismatch(result, reports) and with_fib:
-        fib_ok = all(
-            report.values["closed"] == fib[report.n - 1] for report in reports if report.L == 1
-        )
-        if not fib_ok:
-            result.status = "mismatch"
-            result.summary["first_mismatch"] = {"detail": "closed form vs Fibonacci"}
-    return result
+            if report.L == 1 and report.values["closed"] != fib[report.n - 1]:
+                result.mismatch({"detail": "closed form vs Fibonacci"})
+        result.rows.append(row)
 
 
-def cmd_recurrence(args) -> CommandResult:
+def cmd_recurrence(args, result: CommandResult) -> None:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     n_max = args.n
-    rows: list[dict[str, object]] = []
-    mismatch = None
     chain = r = moments = None
     if args.method in ("chain", "both"):
         chain, r = chain_coeffs(args.L, n_max)
+        result.summary["r_last"] = str(r[n_max])
     if args.method in ("moments", "both"):
         window = a_sequence(args.L, 2 * n_max - 1)
         moments = stieltjes_from_moments(window, n_max)
@@ -227,52 +220,35 @@ def cmd_recurrence(args) -> CommandResult:
         if chain is not None and moments is not None:
             equal = chain.alpha[k] == moments.alpha[k] and chain.beta[k] == moments.beta[k]
             row["equal"] = equal
-            if not equal and mismatch is None:
-                mismatch = {"k": k, **{key: str(val) for key, val in row.items() if key != "k"}}
-        rows.append(row)
-    result = CommandResult(
-        "recurrence", {"L": str(args.L), "n": str(n_max), "method": args.method}, rows
-    )
-    if r is not None:
-        result.summary["r_last"] = str(r[n_max])
-    if mismatch is not None:
-        result.status = "mismatch"
-        result.summary["first_mismatch"] = mismatch
-    return result
+            if not equal:
+                result.mismatch({"k": k, **{key: str(v) for key, v in row.items() if key != "k"}})
+        result.rows.append(row)
 
 
-def cmd_series(args) -> CommandResult:
+def cmd_series(args, result: CommandResult) -> None:
     terms = args.terms
     if terms < 1:
         raise UsageError("--terms must be at least 1")
-    params = {"L": str(args.L), "terms": str(terms), "which": args.which}
-    result = CommandResult("series", params)
     order = terms - 1
+    # G's t^k and F's u^{k+1} coefficients are a_k; rho has no such check
+    make, lo = {"G": (big_g_series, 0), "F": (f_series, 1), "rho": (rho_series, None)}[args.which]
     try:
-        if args.which == "G":
-            series = big_g_series(args.L, order)
-        elif args.which == "F":
-            series = f_series(args.L, order)
-        else:
-            series = rho_series(args.L, order)
+        series = make(args.L, order)
     except PoleNotCancelled as exc:
         result.status = "error"
         result.summary["error"] = str(exc)
-        return result
+        return
     result.rows = [
         {"k": k, "coeff": str(series.coefficient(k))} for k in range(terms)
     ]
     if args.which == "G":
         result.summary["pole_coefficient"] = "0"
-    if args.which != "rho":
-        lo = 0 if args.which == "G" else 1  # G's t^k and F's u^{k+1} coefficients are a_k
+    if lo is not None:
         if series.coefficients(lo, order) != list(a_sequence(args.L, order).terms[: terms - lo]):
-            result.status = "mismatch"
-            result.summary["first_mismatch"] = {"detail": "coefficients differ from the sequence"}
-    return result
+            result.mismatch({"detail": "coefficients differ from the sequence"})
 
 
-def cmd_quad(args) -> CommandResult:
+def cmd_quad(args, result: CommandResult) -> None:
     if args.moments < 0:
         raise UsageError("--moments must be nonnegative")
     if args.nodes < 16:
@@ -288,12 +264,11 @@ def cmd_quad(args) -> CommandResult:
     except (OverflowError, ValueError):  # ValueError: float(L) underflowed to 0
         raise UsageError(f"--L {args.L} --moments {args.moments} leaves the float64 range")
     cfg = QuadratureConfig(node_count=args.nodes)
-    rows = []
     worst = 0.0
     for n, approx in enumerate(moment_quadratures(spec, args.moments, cfg)):
         rel_err = abs(approx - exact[n]) / exact[n]
         worst = max(worst, rel_err)
-        rows.append(
+        result.rows.append(
             {
                 "n": n,
                 "quad": f"{approx:.15e}",
@@ -301,18 +276,9 @@ def cmd_quad(args) -> CommandResult:
                 "rel_err": f"{rel_err:.3e}",
             }
         )
-    params = {
-        "L": str(args.L),
-        "moments": str(args.moments),
-        "nodes": str(args.nodes),
-        "tol": f"{args.tol:g}",
-    }
-    result = CommandResult("quad", params, rows)
     result.summary["max_rel_err"] = f"{worst:.3e}"
     if not worst <= args.tol:
-        result.status = "mismatch"
-        result.summary["first_mismatch"] = {"detail": f"max rel err {worst:.3e} over tol {args.tol:g}"}
-    return result
+        result.mismatch({"detail": f"max rel err {worst:.3e} over tol {args.tol:g}"})
 
 
 # -- rendering ----------------------------------------------------------------
@@ -355,13 +321,11 @@ def _render_plain(result: CommandResult) -> None:
     print(f"status={result.status}" + (f" {extras}" if extras else ""))
 
 
+RENDERERS = {"json": _render_json, "csv": _render_csv, "plain": _render_plain}
+
+
 def render(result: CommandResult, fmt: str) -> None:
-    if fmt == "json":
-        _render_json(result)
-    elif fmt == "csv":
-        _render_csv(result)
-    else:
-        _render_plain(result)
+    RENDERERS[fmt](result)
 
 
 COMMANDS = {
@@ -381,8 +345,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
+    result = CommandResult(args.command, _params(args))
     try:
-        result = COMMANDS[args.command](args)
+        COMMANDS[args.command](args, result)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

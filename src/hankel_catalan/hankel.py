@@ -215,6 +215,8 @@ def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
+    if Lf <= 0:
+        raise ValueError("parameter L must be positive")
     p, q = Lf.numerator, Lf.denominator
     shifted = [1]  # (p + 2q)^k = q^k (L+2)^k
     for _ in range(n_max):

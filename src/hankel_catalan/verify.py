@@ -53,6 +53,8 @@ def verify_row(
     Lf = as_rational(L)
     if n_max < 1:
         raise ValueError("n must be positive")
+    if not routes or not set(routes) <= set(ROUTES):
+        raise ValueError(f"routes must be a nonempty subset of {ROUTES}, got {tuple(routes)}")
     columns = {route: _row_values(Lf, n_max, route) for route in ROUTES if route in routes}
     reports = []
     for n in range(1, n_max + 1):
@@ -70,9 +72,9 @@ def verify_cell(L: RationalLike, n: int, routes: Sequence[str] = ROUTES) -> Veri
 
 
 def verify_grid(L_values: Iterable[RationalLike], n_max: int) -> list[VerificationReport]:
-    """All-routes reports for every (L, n) with 1 <= n <= n_max, sorted by (L, n)."""
+    """All-routes reports for every distinct L and 1 <= n <= n_max, sorted by (L, n)."""
     return [
         report
-        for L in sorted(as_rational(L) for L in L_values)
+        for L in sorted({as_rational(L) for L in L_values})
         for report in verify_row(L, n_max)
     ]

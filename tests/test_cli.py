@@ -83,6 +83,80 @@ def test_verify_grid_with_fibonacci_column(capsys):
     assert all(row["closed"] == row["fibonacci"] for row in rows)
 
 
+def _break_odd_fibonacci(monkeypatch):
+    from hankel_catalan import cli
+
+    real = cli.odd_fibonacci
+    monkeypatch.setattr(cli, "odd_fibonacci", lambda n_max: real(n_max)[:-1] + [7])
+
+
+def test_verify_reports_a_fibonacci_mismatch(capsys, monkeypatch):
+    _break_odd_fibonacci(monkeypatch)
+    code, out = run(capsys, ["verify", "--L", "1,2", "--n-max", "3", "--format", "json"])
+    assert code == 2
+    trailer = json.loads(out.splitlines()[-1])
+    assert trailer["status"] == "mismatch"
+    assert trailer["first_mismatch"] == {"detail": "closed form vs Fibonacci"}
+
+
+def test_a_route_mismatch_is_reported_before_a_fibonacci_mismatch(capsys, monkeypatch):
+    from hankel_catalan import verify
+
+    _break_odd_fibonacci(monkeypatch)
+    closed = verify.h_closed_forms
+    monkeypatch.setattr(verify, "h_closed_forms", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
+    code, out = run(capsys, ["verify", "--L", "1,2", "--n-max", "3", "--format", "json"])
+    assert code == 2
+    assert json.loads(out.splitlines()[-1])["first_mismatch"] == {
+        "L": "1", "n": 3, "det": "13", "closed": "1/3", "product": "13", "poly": "13"
+    }
+
+
+def test_recurrence_reports_chain_against_moments_mismatch(capsys, monkeypatch):
+    from hankel_catalan import cli
+
+    real = cli.stieltjes_from_moments
+
+    def shifted(window, n_max):
+        coeffs = real(window, n_max)
+        alpha = list(coeffs.alpha)
+        alpha[1] += 1
+        return type(coeffs)(tuple(alpha), coeffs.beta)
+
+    monkeypatch.setattr(cli, "stieltjes_from_moments", shifted)
+    code, out = run(capsys, ["recurrence", "--L", "4", "--n", "3", "--format", "json"])
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    trailer = rows.pop()
+    assert trailer["status"] == "mismatch"
+    assert [row["equal"] for row in rows] == [True, False, True]
+    assert trailer["first_mismatch"] == {
+        "k": 1, **{key: str(value) for key, value in rows[1].items() if key != "k"}
+    }
+    assert trailer["first_mismatch"]["equal"] == "False"
+    code, out = run(capsys, ["recurrence", "--L", "4", "--n", "3"])
+    assert code == 2
+    last = out.splitlines()[-1]
+    assert last.startswith("status=mismatch r_last=-356/357 first_mismatch={'k': 1, 'alpha': ")
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["seq", "--L", "4/2", "--n", "3"], {"L": "2", "n": "3"}),
+        (["hankel", "--L", "5/2", "--n", "2"], {"L": "5/2", "n": "2", "method": "all"}),
+        (["verify", "--L", "3,1/2", "--n-max", "2"], {"L": "3,1/2", "n_max": "2"}),
+        (["recurrence", "--L", "2", "--n", "2", "--method", "chain"], {"L": "2", "n": "2", "method": "chain"}),
+        (["series", "--L", "2", "--terms", "3"], {"L": "2", "terms": "3", "which": "G"}),
+        (["quad", "--L", "2", "--tol", "0.001"], {"L": "2", "moments": "8", "nodes": "4000", "tol": "0.001"}),
+    ],
+)
+def test_trailer_params_hold_every_parsed_option(capsys, argv, params):
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["params"] == params
+
+
 def test_verify_span_and_rational_list(capsys):
     code, out = run(capsys, ["verify", "--L", "2..4", "--n-max", "5", "--format", "json"])
     assert code == 0
@@ -94,6 +168,11 @@ def test_verify_span_and_rational_list(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[-1]["status"] == "ok"
+    code, out = run(capsys, ["verify", "--L", "2,4/2", "--n-max", "2", "--format", "json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(row["L"], row["n"]) for row in rows[:-1]] == [("2", 1), ("2", 2)]
+    assert rows[-1]["params"] == {"L": "2,2", "n_max": "2"}
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -94,6 +95,20 @@ def test_routes_subset_and_grid_order():
     ]
     with pytest.raises(ValueError):
         verify_row(2, 0)
+    assert [(report.L, report.n) for report in verify_grid(["2", 2, Fraction(4, 2)], 2)] == [(2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("routes", [("bogus",), (), ("det", "bogus")])
+def test_row_rejects_unknown_or_empty_routes(routes):
+    with pytest.raises(ValueError, match=re.escape(str(ROUTES))):
+        verify_row(2, 2, routes)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("L", [0, -2])
+def test_every_route_rejects_a_nonpositive_parameter(route, L):
+    with pytest.raises(ValueError, match="parameter L must be positive"):
+        verify_row(L, 2, (route,))
 
 
 def test_odd_fibonacci():
