@@ -42,6 +42,7 @@ from .opoly import (
     base_stage,
     breve_coeffs,
     chain_coeffs,
+    chain_products,
     chebyshev_minors,
     gautschi_divide,
     h_from_products,
@@ -54,6 +55,7 @@ from .opoly import (
     r_closed_form,
     stieltjes_from_moments,
     tilde_coeffs,
+    window_minors,
 )
 from .sequences import (
     InconsistentA0,
@@ -64,6 +66,7 @@ from .sequences import (
     binomial,
     gen_catalan,
     pascal_t,
+    scaled_terms,
 )
 from .series import (
     BadConstantTerm,

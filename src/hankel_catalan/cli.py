@@ -212,16 +212,17 @@ def cmd_recurrence(args, result: CommandResult) -> None:
             row["alpha"] = str(chain.alpha[k])
             row["beta"] = str(chain.beta[k])
             row["r_prev"] = str(r[k])  # r_{k-1}; r[0] is the seed ratio
-        if moments is not None:
-            key_alpha = "alpha_moments" if chain is not None else "alpha"
-            key_beta = "beta_moments" if chain is not None else "beta"
-            row[key_alpha] = str(moments.alpha[k])
-            row[key_beta] = str(moments.beta[k])
-        if chain is not None and moments is not None:
+        if moments is not None and chain is not None:
+            # an agreeing pair reuses the chain's text: converting to decimal is the costly part
             equal = chain.alpha[k] == moments.alpha[k] and chain.beta[k] == moments.beta[k]
+            row["alpha_moments"] = row["alpha"] if equal else str(moments.alpha[k])
+            row["beta_moments"] = row["beta"] if equal else str(moments.beta[k])
             row["equal"] = equal
             if not equal:
                 result.mismatch({"k": k, **{key: str(v) for key, v in row.items() if key != "k"}})
+        elif moments is not None:
+            row["alpha"] = str(moments.alpha[k])
+            row["beta"] = str(moments.beta[k])
         result.rows.append(row)
 
 
@@ -284,16 +285,20 @@ def cmd_quad(args, result: CommandResult) -> None:
 # -- rendering ----------------------------------------------------------------
 
 
+#: One encoder for every line: json.dumps builds a new one per call when sort_keys is set.
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _render_json(result: CommandResult) -> None:
-    for row in result.rows:
-        print(json.dumps(row, sort_keys=True))
     trailer = {
         "command": result.command,
         "params": result.params,
         "status": result.status,
         **result.summary,
     }
-    print(json.dumps(trailer, sort_keys=True))
+    lines = [_JSON.encode(row) for row in result.rows]
+    lines.append(_JSON.encode(trailer))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _render_csv(result: CommandResult) -> None:

@@ -108,7 +108,7 @@ def hankel_minors(window: SequenceWindow, n_max: int) -> list[Fraction]:
     swaps has the scaled k x k leading minor h_k * q^{k^2} as its k-th
     pivot. The moment matrix of a positive measure has no zero pivot; a
     hand-made window may, and raises ZeroLeadingMinor. This elimination is
-    the oracle of the Chebyshev route (opoly.chebyshev_minors).
+    the oracle of the Chebyshev route (opoly.window_minors, chebyshev_minors).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -177,7 +177,8 @@ def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
 
 def h_closed_form(L: RationalLike, n: int) -> Fraction:
     """Transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1."""
-    return h_closed_forms(L, n)[-1] if n else Fraction(1)
+    values = h_closed_forms(L, n)
+    return values[-1] if values else Fraction(1)
 
 
 def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -235,7 +236,8 @@ def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
 
 def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
     """Transform value h_n as an explicit polynomial in L; h_0 = 1."""
-    return h_polynomial_forms(L, n)[-1] if n else Fraction(1)
+    values = h_polynomial_forms(L, n)
+    return values[-1] if values else Fraction(1)
 
 
 def odd_fibonacci(n_max: int) -> list[int]:

@@ -15,8 +15,17 @@ stages involve pi and sqrt(L) and are kept in float64 purely as a
 cross-check. Products of the chain's betas reconstruct the Hankel
 determinants (the `product` route). The norms U[Q_k^2] of the Chebyshev
 algorithm are the diagonal of the Hankel matrix's LDL^T factorization, and
-their products give the determinants too (the `det` route); the
-`recurrence --method moments` coefficients come from the same pass.
+their products give the determinants too (the `det` route, on the integer
+window q^{l+1} a_l for L = p/q); the `recurrence --method moments`
+coefficients come from the same pass.
+
+Both derivations do their per-index work on plain integers. The chain keeps
+the tilde coefficients, the ratios r_n and the output coefficients as
+reduced int pairs, cancelled as Fraction would cancel them (_divide_by_x);
+the Chebyshev pass keeps alpha_k and beta_k as reduced int pairs. A Fraction
+is built only for a returned coefficient and for the running product that
+gives h_n, which stays a product of reduced factors, so no gcd ever pairs
+two integers of h_n's O(n^2) bits.
 """
 
 from __future__ import annotations
@@ -24,11 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, surd_states
-from .sequences import RationalLike, SequenceWindow, as_rational, window_terms
+from .sequences import RationalLike, SequenceWindow, as_rational, scaled_terms, window_terms
 from .series import TruncatedSeries
+
+#: A rational as (numerator, denominator): the kernels' currency in place of Fraction.
+Pair = tuple[int, int]
 
 
 class DivisionByZeroR(ZeroDivisionError):
@@ -107,6 +119,49 @@ def hat_stage(L: float, n_max: int) -> ChainStage:
     return ChainStage(stage="hat", L=as_rational(L), alpha=tuple(alpha), beta=tuple(beta))
 
 
+def _reduced(num: int, den: int) -> Pair:
+    """num/den in lowest terms, denominator positive."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _mul(a: int, b: int, c: int, d: int) -> Pair:
+    """(a/b)(c/d) of reduced pairs with b, d > 0, cancelled crosswise as
+    Fraction multiplies: the product is reduced, with denominator > 0."""
+    g, h = math.gcd(a, d), math.gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _add(a: int, b: int, c: int, d: int) -> Pair:
+    """a/b + c/d of reduced pairs with b, d > 0, reduced as Fraction adds
+    (Knuth, TAOCP vol. 2, 4.5.1): only gcd(b, d) can cancel."""
+    g = math.gcd(b, d)
+    if g == 1:
+        return a * d + c * b, b * d
+    s = b // g
+    t = a * (d // g) + c * s
+    g = math.gcd(t, g)
+    return t // g, s * (d // g)
+
+
+def _tilde_pairs(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair]]:
+    """alpha~_0 .. alpha~_{n_max-1} and beta~_1 .. beta~_{n_max-1} as reduced
+    int pairs, read off the integer carriers Y_n (see tilde_coeffs)."""
+    if n_max < 1:
+        raise ValueError("need at least one coefficient")
+    _, Y = _carriers(L, n_max + 1)
+    p, q = L.numerator, L.denominator
+    alpha, beta = [], []
+    for n in range(n_max):
+        y0, y1, y2 = Y[n], Y[n + 1], Y[n + 2]
+        alpha.append(_reduced(y2 * y2 - 2 * q * y1 * y2 + 4 * p * q * y1 * y1, 2 * q * y1 * y2))
+        if n >= 1:
+            beta.append(_reduced(p * y0 * y2, q * y1 * y1))
+    return alpha, beta
+
+
 def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
     """Exact coefficients after mapping the support onto ((sqrt L - 1)^2, (sqrt L + 1)^2).
 
@@ -115,24 +170,19 @@ def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
     beta_0 is (L+2)/2 times pi (kept as the rational factor).
     The psihat ratios are where the sqrt(L) and sqrt(L^2+4) factors cancel,
     which is what makes this stage exactly rational. For L = p/q, with the
-    integer carriers Y_n = q^{n-1} psihat_n, each coefficient is one Fraction
-    of integers:
+    integer carriers Y_n = q^{n-1} psihat_n, each coefficient is a ratio of
+    integers:
     alpha_n = (Y_{n+2}^2 - 2q Y_{n+1} Y_{n+2} + 4pq Y_{n+1}^2) / (2q Y_{n+1} Y_{n+2}),
     beta_n = p Y_n Y_{n+2} / (q Y_{n+1}^2).
     """
     Lf = as_rational(L)
-    if n_max < 1:
-        raise ValueError("need at least one coefficient")
-    _, Y = _carriers(Lf, n_max + 1)
-    p, q = Lf.numerator, Lf.denominator
-    alpha = []
-    beta = [(Lf + 2) / 2]
-    for n in range(n_max):
-        y0, y1, y2 = Y[n], Y[n + 1], Y[n + 2]
-        alpha.append(Fraction(y2 * y2 - 2 * q * y1 * y2 + 4 * p * q * y1 * y1, 2 * q * y1 * y2))
-        if n >= 1:
-            beta.append(Fraction(p * y0 * y2, q * y1 * y1))
-    return ChainStage(stage="tilde", L=Lf, alpha=tuple(alpha), beta=tuple(beta))
+    alpha, beta = _tilde_pairs(Lf, n_max)
+    return ChainStage(
+        stage="tilde",
+        L=Lf,
+        alpha=tuple(Fraction(*a) for a in alpha),
+        beta=((Lf + 2) / 2, *(Fraction(*b) for b in beta)),
+    )
 
 
 def breve_coeffs(stage: ChainStage) -> ChainStage:
@@ -142,6 +192,41 @@ def breve_coeffs(stage: ChainStage) -> ChainStage:
     L = stage.L
     beta = (L * (L + 2),) + stage.beta[1:]
     return ChainStage(stage="breve", L=L, alpha=stage.alpha, beta=beta)
+
+
+def _divide_by_x(
+    seed: Pair, alpha: Sequence[Pair], beta: Sequence[Pair]
+) -> tuple[list[Pair], list[Pair], list[Pair]]:
+    """Gautschi's division of the weight by x, on reduced int pairs
+    (numerator, denominator > 0): the kernel of gautschi_divide, chain_coeffs
+    and the product route.
+
+    seed is r_{-1}, and alpha, beta hold alpha'_n, beta'_n of the weight
+    before the division. Each step forms x_n = beta'_n / r_{n-1}, then
+    r_n = -(alpha'_n + x_n), beta_{n+1} = x_n r_n = beta'_n r_n / r_{n-1} and
+    alpha_n = alpha'_n + r_n - r_{n-1} = -(x_n + r_{n-1}) (alpha_0 = -x_0).
+    Every product and sum is cancelled as Fraction cancels it, so each pair
+    stays reduced and no Fraction is built. Returns alpha_0 .. alpha_{m-1},
+    beta_0 .. beta_{m-1} (beta_0 = -r_{-1}) and r_{-1} .. r_{m-1}.
+    """
+    u, v = seed
+    if u == 0:
+        raise DivisionByZeroR("r_-1 = 0")
+    r, new_alpha, new_beta = [seed], [], [(-u, v)]
+    for n, ((an, ad), (bn, bd)) in enumerate(zip(alpha, beta)):
+        xn, xd = _mul(bn, bd, v, u) if u > 0 else _mul(bn, bd, -v, -u)
+        un, vn = _add(an, ad, xn, xd)
+        if un == 0:
+            raise DivisionByZeroR(f"r_{n} = 0")
+        un = -un
+        new_alpha.append(_add(-xn, xd, -u, v) if n else (-xn, xd))
+        new_beta.append(_mul(xn, xd, un, vn))
+        u, v = un, vn
+        r.append((u, v))
+    new_beta.pop()  # beta_m is past the requested depth
+    if any(b <= 0 for b, _ in new_beta):
+        raise ValueError("all beta must be positive for a positive-definite functional")
+    return new_alpha, new_beta, r
 
 
 def gautschi_divide(stage: ChainStage) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
@@ -154,24 +239,47 @@ def gautschi_divide(stage: ChainStage) -> tuple[RecurrenceCoeffs, tuple[Fraction
     """
     if stage.stage != "breve":
         raise ValueError(f"expected the breve stage, got {stage.stage!r}")
-    n_max = len(stage.alpha)
-    r = [-(stage.L + 1)]
-    for n in range(n_max):
-        r_next = -(stage.alpha[n] + stage.beta[n] / r[-1])
-        if r_next == 0:
-            raise DivisionByZeroR(f"r_{n} = 0")
-        r.append(r_next)
-    alpha = [stage.alpha[0] + r[1]]
-    beta = [-r[0]]
-    for k in range(1, n_max):
-        alpha.append(stage.alpha[k] + r[k + 1] - r[k])
-        beta.append(stage.beta[k - 1] * r[k] / r[k - 1])
-    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta)), tuple(r)
+    seed = -(stage.L + 1)
+    return _as_fractions(
+        _divide_by_x(
+            (seed.numerator, seed.denominator),
+            [(a.numerator, a.denominator) for a in stage.alpha],
+            [(b.numerator, b.denominator) for b in stage.beta],
+        )
+    )
+
+
+def _as_fractions(
+    chain: tuple[list[Pair], list[Pair], list[Pair]]
+) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
+    """The kernel's alpha, beta and r pairs as the Fractions callers read."""
+    alpha, beta, r = chain
+    coeffs = RecurrenceCoeffs(
+        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
+    )
+    return coeffs, tuple(Fraction(*x) for x in r)
+
+
+def _chain(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
+    """The exact chain on int pairs: tilde pairs from the carriers Y_n, the
+    breve mass L(L+2) = p(p+2q)/q^2, and the division by x from
+    r_{-1} = -(p+q)/q."""
+    alpha, beta = _tilde_pairs(L, n_max)
+    p, q = L.numerator, L.denominator
+    return _divide_by_x((-(p + q), q), alpha, [(p * (p + 2 * q), q * q), *beta])
 
 
 def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
     """Run the exact part of the chain end to end: tilde -> breve -> divide by x."""
-    return gautschi_divide(breve_coeffs(tilde_coeffs(L, n_max)))
+    return _as_fractions(_chain(as_rational(L), n_max))
+
+
+def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
+    """The product route: h_1 .. h_n_max from the chain's betas alone.
+
+    The chain runs on int pairs from the carriers Y_n, and only the running
+    products of its betas become Fractions (see _products)."""
+    return _products(_chain(as_rational(L), n_max)[1])
 
 
 def r_closed_form(L: RationalLike, n: int) -> Fraction:
@@ -187,50 +295,56 @@ def r_closed_form(L: RationalLike, n: int) -> Fraction:
 
 
 def _chebyshev(
-    moments: Sequence[Fraction], n_max: int
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """alpha_k, beta_k and the norms U[Q_k^2] for k < n_max, from a_0 .. a_{m-1}.
+    moments: Sequence[int], den: int, n_max: int
+) -> tuple[list[Pair], list[Pair], list[Pair]]:
+    """alpha_k, beta_k and the norms U[Q_k^2] for k < n_max of the functional
+    U[x^l] = moments[l] / den, l < m.
 
     The Chebyshev algorithm from the moments (Gautschi, Orthogonal
     Polynomials: Computation and Approximation, 2004, section 2.1.7) carries
-    the mixed moments sigma_{k,l} = U[Q_k x^l], where U maps x^i to a_i:
-    sigma_{-1,l} = 0, sigma_{0,l} = a_l and
+    the mixed moments sigma_{k,l} = U[Q_k x^l]:
+    sigma_{-1,l} = 0, sigma_{0,l} = U[x^l] and
     sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l} - beta_k sigma_{k-1,l}
     for l = k+1 .. m-k-2. Then U[Q_k^2] = sigma_{k,k},
     alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1} and
-    beta_k = sigma_{k,k}/sigma_{k-1,k-1} (beta_0 = a_0).
+    beta_k = sigma_{k,k}/sigma_{k-1,k-1} (beta_0 = U[1]).
 
     Row k is kept as integers over one shared denominator:
-    row[j] / den = sigma_{k,k+j}. Only alpha_k, beta_k and the norm become
-    Fractions. The caller checks m >= 2 n_max - 1; alpha_k needs a_{2k+1}
-    and is left out where that is missing.
+    row[j] / den = sigma_{k,k+j}. alpha_k and beta_k come out as reduced int
+    pairs (numerator, denominator > 0) and the norm as the pair (row[0], den),
+    not reduced; no Fraction is built. The caller checks m >= 2 n_max - 1;
+    alpha_k needs U[x^{2k+1}] and is left out where that is missing.
     """
     m = min(len(moments), 2 * n_max)
-    den = math.lcm(*(a.denominator for a in moments[:m]))
-    cur = [a.numerator * (den // a.denominator) for a in moments[:m]]
+    cur = list(moments[:m])
     # Row -1 is zero; only its entries from j = 2 on enter the recurrence, so
     # its first two carry sigma_{-1,-1} = 1 and sigma_{-1,0} = 0 for the
-    # ratios, which gives beta_0 = a_0 and alpha_0 = a_1/a_0.
+    # ratios, which gives beta_0 = U[1] and alpha_0 = U[x]/U[1].
     prev = [1, 0] + [0] * m
     prev_den = 1
     alpha, beta, norms = [], [], []
     for k in range(n_max):
-        if cur[0] == 0:
+        c0, p0 = cur[0], prev[0]
+        if c0 == 0:
             raise ZeroLeadingMinor(f"U[Q_{k}^2] = 0")
-        norms.append(Fraction(cur[0], den))
-        b_k = Fraction(cur[0] * prev_den, den * prev[0])
-        beta.append(b_k)
+        norms.append((c0, den))
+        c, d = _reduced(c0 * prev_den, den * p0)
+        beta.append((c, d))
         if len(cur) < 2:
             break
-        a_k = Fraction(cur[1] * prev[0] - prev[1] * cur[0], cur[0] * prev[0])
-        alpha.append(a_k)
+        a, b = _reduced(cur[1] * p0 - prev[1] * c0, c0 * p0)
+        alpha.append((a, b))
         if k == n_max - 1:
             break
         # sigma_{k+1,.} over M = lcm(b den, d prev_den), for alpha_k = a/b and
-        # beta_k = c/d: three integer products per entry, then one gcd.
-        a, b, c, d = a_k.numerator, a_k.denominator, b_k.numerator, b_k.denominator
+        # beta_k = c/d: three integer products per entry, then one gcd. A
+        # factor the three multipliers share (a third of that gcd's bits at
+        # L = 37/91) leaves first, so the products run on smaller integers.
         M = math.lcm(b * den, d * prev_den)
         u, v, w = M // den, a * (M // (b * den)), c * (M // (d * prev_den))
+        g = math.gcd(u, v, w)
+        if g != 1:
+            u, v, w, M = u // g, v // g, w // g, M // g
         row = [u * x2 - v * x1 - w * y for x1, x2, y in zip(cur[1:], cur[2:], prev[2:])]
         g = math.gcd(M, *row)
         if g != 1:
@@ -238,6 +352,30 @@ def _chebyshev(
             M //= g
         prev, cur, prev_den, den = cur, row, den, M
     return alpha, beta, norms
+
+
+def _over_lcm(moments: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The moments as integers over the lcm of their denominators."""
+    den = math.lcm(*(a.denominator for a in moments))
+    return [a.numerator * (den // a.denominator) for a in moments], den
+
+
+def _minors(moments: Sequence[int], den: int, q: int, n_max: int) -> list[Fraction]:
+    """h_1 .. h_n_max of the Hankel matrix (moments[i+j] / (den q^{i+j+1})).
+
+    The Chebyshev pass runs on moments[l] / den, the moments of
+    x^l -> q U[(qx)^l]; its k-th norm is q^{2k+1} U[Q_k^2]. Each norm
+    becomes one reduced Fraction and h is their running product, so no
+    gcd ever pairs two integers of h's size.
+    """
+    values = []
+    h = Fraction(1)
+    scale = q
+    for num, norm_den in _chebyshev(moments, den, n_max)[2]:
+        h *= Fraction(num, norm_den * scale)
+        values.append(h)
+        scale *= q * q
+    return values
 
 
 def stieltjes_from_moments(
@@ -251,8 +389,10 @@ def stieltjes_from_moments(
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-    alpha, beta, _ = _chebyshev(moments, n_max)
-    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta))
+    alpha, beta, _ = _chebyshev(*_over_lcm(moments[: 2 * n_max]), n_max)
+    return RecurrenceCoeffs(
+        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
+    )
 
 
 def chebyshev_minors(
@@ -264,19 +404,30 @@ def chebyshev_minors(
     (a_{i+j}), done with its structure: the norms sigma_{k,k} are the
     diagonal of D, so h_n = prod_{k<n} sigma_{k,k} whenever every leading
     minor is nonzero. Reads a_0 .. a_{2 n_max - 2}, the entries of the
-    matrix; a vanishing leading minor raises ZeroLeadingMinor.
+    matrix, over the lcm of their denominators; a vanishing leading minor
+    raises ZeroLeadingMinor.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     moments = window_terms(seq)
     if len(moments) < 2 * n_max - 1:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 2}, window has {len(moments)} terms")
-    values = []
-    h = Fraction(1)
-    for norm in _chebyshev(moments, n_max)[2]:
-        h *= norm
-        values.append(h)
-    return values
+    return _minors(*_over_lcm(moments[: max(2 * n_max - 1, 0)]), 1, n_max)
+
+
+def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
+    """The det route: h_1 .. h_n_max of the sequence's own window, read as
+    the integers q^{l+1} a_l (l <= 2 n_max - 2, L = p/q) that the
+    Narayana recurrence yields (sequences.scaled_terms).
+
+    The same Chebyshev pass as chebyshev_minors, on integers that need no
+    common denominator: entry (i, j) of the Hankel matrix is a_{i+j}, and
+    the k-th norm of the pass is q^{2k+1} U[Q_k^2] (see _minors).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    Lf = as_rational(L)
+    return _minors(scaled_terms(Lf, max(2 * n_max - 2, 0)), 1, Lf.denominator, n_max)
 
 
 def monic_polynomials(coeffs: RecurrenceCoeffs, count: int) -> list[list[Fraction]]:
@@ -326,6 +477,24 @@ def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
     return TruncatedSeries(series, order)
 
 
+def _products(beta: Iterable[Pair]) -> list[Fraction]:
+    """h_1, h_2, ... from beta_0, beta_1, ... given as reduced int pairs with
+    denominators > 0.
+
+    The running product R = beta_0 ... beta_k (the norm h_{k+1}/h_k) stays a
+    reduced pair; h_{k+1} = R h_k is one Fraction product, so no gcd ever
+    pairs two integers of h's size.
+    """
+    values = []
+    h = Fraction(1)
+    num, den = 1, 1
+    for b, d in beta:
+        num, den = _mul(num, den, b, d)
+        h *= Fraction(num, den)
+        values.append(h)
+    return values
+
+
 def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
     """Hankel determinants h_1 .. h_n_max as products a_0^n beta_1^{n-1} ... beta_{n-1}.
 
@@ -336,14 +505,7 @@ def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
         raise ValueError("n_max must be nonnegative")
     if n_max > len(coeffs.beta):
         raise InsufficientTerms(f"need beta_0..beta_{n_max - 1}, have {len(coeffs.beta)}")
-    values = []
-    h = Fraction(1)
-    running = Fraction(1)
-    for k in range(n_max):
-        running *= coeffs.beta[k]
-        h *= running
-        values.append(h)
-    return values
+    return _products((b.numerator, b.denominator) for b in coeffs.beta[:n_max])
 
 
 def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:

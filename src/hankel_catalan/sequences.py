@@ -74,14 +74,15 @@ class SequenceWindow:
     terms: tuple[Fraction, ...]
 
 
-def a_sequence(L: RationalLike, n_max: int) -> SequenceWindow:
-    """Window a_0 .. a_n_max, with a_n = c(n;L) + c(n+1;L) and a_0 = L + 1.
+def scaled_terms(L: RationalLike, n_max: int) -> list[int]:
+    """The window as integers: q^{n+1} a_n for n = 0..n_max, where L = p/q.
 
     c(0;L) and c(1;L) come from the triangle; the defining a_0 = L + 1 and
     their sum must agree, or the triangle conventions are broken. Later
     c(n;L) follow the Narayana-polynomial recurrence
         (n+1) c_n = (2n-1)(L+1) c_{n-1} - (n-2)(L-1)^2 c_{n-2},
-    run on the integers C_n = c_n q^n for L = p/q (c_n has degree n in L).
+    run on the integers C_n = c_n q^n (c_n has degree n in L), and
+    q^{n+1} a_n = q C_n + C_{n+1}.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -96,10 +97,20 @@ def a_sequence(L: RationalLike, n_max: int) -> SequenceWindow:
         # exact: C_n is an integer because c_n has integer coefficients in L
         step = (2 * n - 1) * plus * scaled[n - 1] - (n - 2) * minus_sq * scaled[n - 2]
         scaled.append(step // (n + 1))
-    terms = tuple(
-        Fraction(scaled[n] * q + scaled[n + 1], q ** (n + 1)) for n in range(n_max + 1)
-    )
-    return SequenceWindow(params=params, terms=terms)
+    return [scaled[n] * q + scaled[n + 1] for n in range(n_max + 1)]
+
+
+def a_sequence(L: RationalLike, n_max: int) -> SequenceWindow:
+    """Window a_0 .. a_n_max, with a_n = c(n;L) + c(n+1;L) and a_0 = L + 1:
+    the integers of scaled_terms over q^{n+1}."""
+    scaled = scaled_terms(L, n_max)
+    params = SequenceParams(as_rational(L))
+    q = params.L.denominator
+    terms, power = [], 1
+    for term in scaled:
+        power *= q
+        terms.append(Fraction(term, power))
+    return SequenceWindow(params=params, terms=tuple(terms))
 
 
 def window_terms(seq: Union[SequenceWindow, Sequence[RationalLike]]) -> tuple[Fraction, ...]:

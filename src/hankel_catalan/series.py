@@ -223,7 +223,9 @@ class TruncatedSeries:
         With r * F_0 = 1, r F(x/s) = M(x/(s F_0)) for the integer row
         M_k = F_k F_0^(k-1), M_0 = 1. The root of M(4z) has integer
         coefficients G_n = (4^n M_n - sum_{0<i<n} G_i G_{n-i}) / 2, so the
-        root is G(x/(4 s F_0)).
+        root is G(x/(4 s F_0)). Where 4^n (or else 2^n) divides every G_n,
+        it is divided out and the scale shrinks by the same factor, so the
+        integers carry no spare bits.
         """
         F = self._F
         c = F[0]
@@ -236,4 +238,11 @@ class TruncatedSeries:
             if odd:
                 raise ArithmeticError(f"coefficient {n} of the root is not an integer")
             G.append(half)
-        return _series(Fraction(1), 4 * self._s * c, G)
+        scale = 4 * self._s * c
+        for m in (4, 2):
+            powers = _rescaled([1] * len(G), m)
+            if all(g % power == 0 for g, power in zip(G, powers)):
+                G = [g // power for g, power in zip(G, powers)]
+                scale //= m
+                break
+        return _series(Fraction(1), scale, G)

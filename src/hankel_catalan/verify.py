@@ -4,11 +4,13 @@ Every cell (L, n) computes the transform by up to four independent routes
 (determinant, surd closed form, beta-product reconstruction, explicit
 polynomial) and records whether they agree exactly. The determinant is the
 product of the norms U[Q_k^2] of the Chebyshev algorithm on the window a_k,
-which is the structured LDL^T factorization of the Hankel matrix. The unit
-of work is a row: one L and every n up to n_max. Each route makes one pass
-over the row (one window and one Chebyshev pass, one carrier run, one
-modification chain) and no route reads another's values. Reports are sorted
-by (L, n).
+read as the integers q^{k+1} a_k for L = p/q, which is the structured LDL^T
+factorization of the Hankel matrix. The unit of work is a row: one L and
+every n up to n_max. Each route makes one pass over the row (one window and
+one Chebyshev pass, one carrier run, one modification chain on the carriers
+psihat alone) and no route reads another's values. The det and product
+routes run on integer kernels and build a Fraction only for each running
+product h_n. Reports are sorted by (L, n).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hankel import h_closed_forms, h_polynomial_forms
-from .opoly import chain_coeffs, chebyshev_minors, h_products
-from .sequences import RationalLike, a_sequence, as_rational
+from .opoly import chain_products, window_minors
+from .sequences import RationalLike, as_rational
 
 ROUTES = ("det", "closed", "product", "poly")
 
@@ -37,12 +39,11 @@ class VerificationReport:
 def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
     """h_1 .. h_n_max of one route."""
     if route == "det":
-        return chebyshev_minors(a_sequence(Lf, 2 * n_max - 2), n_max)
+        return window_minors(Lf, n_max)
     if route == "closed":
         return h_closed_forms(Lf, n_max)
     if route == "product":
-        coeffs, _ = chain_coeffs(Lf, n_max)
-        return h_products(coeffs, n_max)
+        return chain_products(Lf, n_max)
     return h_polynomial_forms(Lf, n_max)
 
 

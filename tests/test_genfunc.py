@@ -57,6 +57,17 @@ def test_rho_series():
     assert rho * rho == TruncatedSeries([1, -12, 16], 20)
 
 
+@pytest.mark.parametrize(
+    "L, scale", [(1, 1), (8, 1), (Fraction(1, 3), 3), (Fraction(7, 3), 3), (Fraction(37, 91), 91)]
+)
+def test_rho_series_keeps_the_smallest_argument_scale(L, scale):
+    # c_1 = -(L+1) has denominator q, so q is the smallest scale that makes
+    # every c_k q^k an integer; the root's 4^k is divided out to reach it
+    rho = rho_series(L, 80)
+    assert rho._s == scale
+    assert rho * rho == TruncatedSeries([1, -2 * (L + 1), (L - 1) ** 2], 80)
+
+
 def test_big_g_golden_l2():
     series = big_g_series(2, 4)
     assert series.coefficients(0, 4) == [3, 8, 28, 112, 484]

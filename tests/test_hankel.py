@@ -123,6 +123,13 @@ def test_polynomial_form_values():
     assert h_polynomial_form(1, 4) == 34  # F_9
 
 
+@pytest.mark.parametrize("form", [h_closed_form, h_polynomial_form])
+@pytest.mark.parametrize("L", [0, -2])
+def test_h_0_still_rejects_a_nonpositive_parameter(form, L):
+    with pytest.raises(ValueError, match="parameter L must be positive"):
+        form(L, 0)
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, Fraction(5, 2), Fraction(7, 3)])
 def test_closed_equals_polynomial(L):
     for n in range(16):

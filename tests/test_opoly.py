@@ -3,22 +3,27 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hankel_catalan import opoly
 from hankel_catalan.hankel import (
     InsufficientTerms,
     ZeroLeadingMinor,
     h_closed_form,
     h_polynomial_form,
     hankel_det,
+    hankel_minors,
     surd_states,
 )
 from hankel_catalan.opoly import (
+    ChainStage,
+    DivisionByZeroR,
     RecurrenceCoeffs,
     base_stage,
     breve_coeffs,
     chain_coeffs,
+    chain_products,
     chebyshev_minors,
     gautschi_divide,
     h_from_products,
@@ -30,8 +35,9 @@ from hankel_catalan.opoly import (
     r_closed_form,
     stieltjes_from_moments,
     tilde_coeffs,
+    window_minors,
 )
-from hankel_catalan.sequences import a_sequence
+from hankel_catalan.sequences import a_sequence, gen_catalan, scaled_terms
 from hankel_catalan.weight import QuadratureConfig, WeightSpec, moment_quadrature
 
 
@@ -376,3 +382,101 @@ def test_chebyshev_minors_edges():
         chebyshev_minors(a_sequence(2, 4), 4)
     with pytest.raises(ValueError):
         chebyshev_minors([1], -1)
+
+
+def fraction_divide(stage):
+    """Gautschi's division by x as a plain Fraction loop: the reference for
+    the int-pair kernel behind gautschi_divide, chain_coeffs and the product
+    route."""
+    n_max = len(stage.alpha)
+    r = [-(stage.L + 1)]
+    for n in range(n_max):
+        r.append(-(stage.alpha[n] + stage.beta[n] / r[-1]))
+    alpha = [stage.alpha[0] + r[1]]
+    beta = [-r[0]]
+    for k in range(1, n_max):
+        alpha.append(stage.alpha[k] + r[k + 1] - r[k])
+        beta.append(stage.beta[k - 1] * r[k] / r[k - 1])
+    return alpha, beta, r
+
+
+def reduced(pairs):
+    return all(den > 0 and math.gcd(num, den) == 1 for num, den in pairs)
+
+
+RATIONAL_L = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=RATIONAL_L, n_max=st.integers(1, 40))
+@example(L=Fraction(37, 91), n_max=40)
+@example(L=Fraction(1), n_max=40)
+def test_chain_kernel_matches_the_fraction_loop(L, n_max):
+    breve = breve_coeffs(tilde_coeffs(L, n_max))
+    alpha, beta, r = fraction_divide(breve)
+    coeffs, ratios = chain_coeffs(L, n_max)
+    assert list(coeffs.alpha) == alpha
+    assert list(coeffs.beta) == beta
+    assert list(ratios) == r
+    assert gautschi_divide(breve) == (coeffs, ratios)
+    # the kernel's pairs are what it claims: lowest terms, positive denominators
+    assert all(map(reduced, opoly._chain(L, n_max)))
+    assert all(map(reduced, opoly._tilde_pairs(L, n_max)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=RATIONAL_L, n_max=st.integers(1, 30))
+@example(L=Fraction(37, 91), n_max=30)
+def test_product_and_det_rows_match_the_bareiss_oracle(L, n_max):
+    minors = hankel_minors(a_sequence(L, 2 * n_max - 2), n_max)
+    assert chain_products(L, n_max) == minors
+    assert window_minors(L, n_max) == minors
+
+
+@pytest.mark.parametrize("L", [1, Fraction(5, 2), Fraction(37, 91), Fraction(10**4, 9999)])
+def test_scaled_terms_are_the_triangle_sums_times_powers_of_q(L):
+    q = Fraction(L).denominator
+    terms = scaled_terms(L, 12)
+    assert all(type(term) is int for term in terms)
+    assert terms == [(gen_catalan(k, L) + gen_catalan(k + 1, L)) * q ** (k + 1) for k in range(13)]
+
+
+@pytest.mark.parametrize("L", [1, 2, Fraction(1, 3), Fraction(37, 91)])
+def test_chebyshev_pass_pairs_are_reduced(L):
+    alpha, beta, norms = opoly._chebyshev(scaled_terms(L, 39), 1, 20)
+    assert reduced(alpha) and reduced(beta)
+    assert len(alpha) == len(beta) == len(norms) == 20
+
+
+def test_division_by_a_zero_ratio_raises():
+    # r_{-1} = -2 and r_0 = -(1 + 2 / r_{-1}) = 0
+    stage = ChainStage(
+        stage="breve", L=Fraction(1), alpha=(Fraction(1), Fraction(1)), beta=(Fraction(2), Fraction(1))
+    )
+    with pytest.raises(DivisionByZeroR, match=r"r_0 = 0"):
+        gautschi_divide(stage)
+    seed_zero = ChainStage(stage="breve", L=Fraction(-1), alpha=(Fraction(1),), beta=(Fraction(2),))
+    with pytest.raises(DivisionByZeroR):
+        gautschi_divide(seed_zero)
+
+
+def test_a_nonpositive_beta_raises_on_every_chain_path(monkeypatch):
+    # r_{-1} = -2, r_0 = -(0 + 2 / -2) = 1, so beta_1 = 2 * 1 / -2 = -1
+    stage = ChainStage(
+        stage="breve", L=Fraction(1), alpha=(Fraction(0), Fraction(0)), beta=(Fraction(2), Fraction(1))
+    )
+    assert fraction_divide(stage)[1] == [2, -1]
+    with pytest.raises(ValueError, match="all beta must be positive"):
+        gautschi_divide(stage)
+    # the product route reads the same kernel: L = 1 gives r_{-1} = -2 and
+    # the breve mass L(L+2) = 3, so alpha~_0 = -3/2 makes beta_1 negative
+    monkeypatch.setattr(opoly, "_tilde_pairs", lambda L, n_max: ([(-3, 2), (0, 1)], [(1, 1)]))
+    with pytest.raises(ValueError, match="all beta must be positive"):
+        chain_products(1, 2)
+
+
+def test_the_det_route_reports_a_vanishing_minor(monkeypatch):
+    # h_1 = 1, h_2 = 1 * 1 - 1 * 1 = 0
+    monkeypatch.setattr(opoly, "scaled_terms", lambda L, n_max: [1, 1, 1])
+    with pytest.raises(ZeroLeadingMinor, match=r"U\[Q_1\^2\] = 0"):
+        window_minors(1, 2)
