@@ -24,7 +24,6 @@ from .hankel import (
     NonIntegerResult,
     SurdState,
     ZeroLeadingMinor,
-    fibonacci_check,
     h_closed_form,
     h_closed_forms,
     h_polynomial_form,
@@ -39,18 +38,14 @@ from .opoly import (
     ChainStage,
     DivisionByZeroR,
     RecurrenceCoeffs,
-    base_stage,
     breve_coeffs,
     chain_coeffs,
     chain_products,
-    chebyshev_minors,
     gautschi_divide,
     h_from_products,
-    h_products,
     hat_stage,
     jfraction_series,
     lambda_closed,
-    monic_polynomials,
     norm_closed_form,
     r_closed_form,
     stieltjes_from_moments,
@@ -63,7 +58,6 @@ from .sequences import (
     SequenceWindow,
     a_sequence,
     as_rational,
-    binomial,
     gen_catalan,
     pascal_t,
     scaled_terms,
@@ -81,7 +75,6 @@ from .weight import (
     moment_quadrature,
     moment_quadratures,
     orthogonality_check,
-    polynomial_quadrature,
     weight_eval,
 )
 

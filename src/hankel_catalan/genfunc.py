@@ -11,10 +11,11 @@ error, not a rounding problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sequences import RationalLike, as_rational, binomial, pascal_t
+from .sequences import RationalLike, as_rational, pascal_t
 from .series import TruncatedSeries
 
 
@@ -46,8 +47,8 @@ def jacobi_poly(n: int, p: JacobiParams, x: RationalLike) -> Fraction:
     total = Fraction(0)
     for k in range(n + 1):
         total += (
-            binomial(n + p.a, k)
-            * binomial(n + p.b, n - k)
+            math.comb(n + p.a, k)
+            * math.comb(n + p.b, n - k)
             * (xf - 1) ** (n - k)
             * (xf + 1) ** k
         )

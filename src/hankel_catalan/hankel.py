@@ -108,7 +108,7 @@ def hankel_minors(window: SequenceWindow, n_max: int) -> list[Fraction]:
     swaps has the scaled k x k leading minor h_k * q^{k^2} as its k-th
     pivot. The moment matrix of a positive measure has no zero pivot; a
     hand-made window may, and raises ZeroLeadingMinor. This elimination is
-    the oracle of the Chebyshev route (opoly.window_minors, chebyshev_minors).
+    the oracle of the Chebyshev route (opoly.window_minors).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -249,11 +249,6 @@ def odd_fibonacci(n_max: int) -> list[int]:
         prev, cur = cur, cur + prev
         out.append(cur)
     return out
-
-
-def fibonacci_check(n_max: int) -> bool:
-    """True iff the L=1 transform h_n(1) equals F_{2n+1} for 1 <= n <= n_max."""
-    return h_closed_forms(1, n_max) == odd_fibonacci(n_max)
 
 
 def lemma_identities(L: RationalLike, j: int, k: int) -> bool:

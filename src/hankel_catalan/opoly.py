@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, surd_states
 from .sequences import RationalLike, SequenceWindow, as_rational, scaled_terms, window_terms
@@ -69,20 +69,14 @@ class ChainStage:
     """Coefficients at one stage of the weight-modification chain.
 
     For the exact stages the lists hold Fractions; the hat stage holds
-    float64. At the base and tilde stages beta[0] stores the rational factor
-    of a value beta[0] * pi.
+    float64. At the tilde stage beta[0] stores the rational factor of a
+    value beta[0] * pi.
     """
 
-    stage: str  # "base" | "hat" | "tilde" | "breve"
-    L: Optional[Fraction]
+    stage: str  # "hat" | "tilde" | "breve"
+    L: Fraction
     alpha: tuple
     beta: tuple
-
-
-def base_stage(n_max: int) -> ChainStage:
-    """Monic Chebyshev (second kind) coefficients: alpha = 0, beta_0 = pi/2, beta_n = 1/4."""
-    beta = [Fraction(1, 2)] + [Fraction(1, 4)] * (n_max - 1)
-    return ChainStage(stage="base", L=None, alpha=(Fraction(0),) * n_max, beta=tuple(beta))
 
 
 def lambda_closed(L: float, n: int) -> float:
@@ -149,8 +143,8 @@ def _add(a: int, b: int, c: int, d: int) -> Pair:
 def _tilde_pairs(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair]]:
     """alpha~_0 .. alpha~_{n_max-1} and beta~_1 .. beta~_{n_max-1} as reduced
     int pairs, read off the integer carriers Y_n (see tilde_coeffs)."""
-    if n_max < 1:
-        raise ValueError("need at least one coefficient")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     _, Y = _carriers(L, n_max + 1)
     p, q = L.numerator, L.denominator
     alpha, beta = [], []
@@ -354,30 +348,6 @@ def _chebyshev(
     return alpha, beta, norms
 
 
-def _over_lcm(moments: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The moments as integers over the lcm of their denominators."""
-    den = math.lcm(*(a.denominator for a in moments))
-    return [a.numerator * (den // a.denominator) for a in moments], den
-
-
-def _minors(moments: Sequence[int], den: int, q: int, n_max: int) -> list[Fraction]:
-    """h_1 .. h_n_max of the Hankel matrix (moments[i+j] / (den q^{i+j+1})).
-
-    The Chebyshev pass runs on moments[l] / den, the moments of
-    x^l -> q U[(qx)^l]; its k-th norm is q^{2k+1} U[Q_k^2]. Each norm
-    becomes one reduced Fraction and h is their running product, so no
-    gcd ever pairs two integers of h's size.
-    """
-    values = []
-    h = Fraction(1)
-    scale = q
-    for num, norm_den in _chebyshev(moments, den, n_max)[2]:
-        h *= Fraction(num, norm_den * scale)
-        values.append(h)
-        scale *= q * q
-    return values
-
-
 def stieltjes_from_moments(
     seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
 ) -> RecurrenceCoeffs:
@@ -389,30 +359,12 @@ def stieltjes_from_moments(
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-    alpha, beta, _ = _chebyshev(*_over_lcm(moments[: 2 * n_max]), n_max)
+    moments = moments[: 2 * n_max]
+    den = math.lcm(*(a.denominator for a in moments))
+    alpha, beta, _ = _chebyshev([a.numerator * (den // a.denominator) for a in moments], den, n_max)
     return RecurrenceCoeffs(
         alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
     )
-
-
-def chebyshev_minors(
-    seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
-) -> list[Fraction]:
-    """Hankel determinants h_1 .. h_n_max as products of the norms U[Q_k^2].
-
-    The Chebyshev algorithm is the LDL^T factorization of the Hankel matrix
-    (a_{i+j}), done with its structure: the norms sigma_{k,k} are the
-    diagonal of D, so h_n = prod_{k<n} sigma_{k,k} whenever every leading
-    minor is nonzero. Reads a_0 .. a_{2 n_max - 2}, the entries of the
-    matrix, over the lcm of their denominators; a vanishing leading minor
-    raises ZeroLeadingMinor.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    moments = window_terms(seq)
-    if len(moments) < 2 * n_max - 1:
-        raise InsufficientTerms(f"need a_0..a_{2 * n_max - 2}, window has {len(moments)} terms")
-    return _minors(*_over_lcm(moments[: max(2 * n_max - 1, 0)]), 1, n_max)
 
 
 def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -420,31 +372,22 @@ def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
     the integers q^{l+1} a_l (l <= 2 n_max - 2, L = p/q) that the
     Narayana recurrence yields (sequences.scaled_terms).
 
-    The same Chebyshev pass as chebyshev_minors, on integers that need no
-    common denominator: entry (i, j) of the Hankel matrix is a_{i+j}, and
-    the k-th norm of the pass is q^{2k+1} U[Q_k^2] (see _minors).
+    h is the running product of the Chebyshev pass's norms, q^{2k+1} U[Q_k^2]
+    on these integers, each one reduced Fraction, so no gcd ever pairs two
+    integers of h's size.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
-    return _minors(scaled_terms(Lf, max(2 * n_max - 2, 0)), 1, Lf.denominator, n_max)
-
-
-def monic_polynomials(coeffs: RecurrenceCoeffs, count: int) -> list[list[Fraction]]:
-    """Q_0 .. Q_count as ascending coefficient lists, from the recurrence."""
-    if not 0 <= count <= len(coeffs.alpha):
-        raise ValueError(f"need 0 <= count <= {len(coeffs.alpha)}, got {count}")
-    prev, polys = [], [[Fraction(1)]]  # Q_{-1} = 0, Q_0 = 1
-    for n in range(count):
-        cur = polys[n]
-        nxt = [Fraction(0)] + cur
-        for i, c in enumerate(cur):
-            nxt[i] -= coeffs.alpha[n] * c
-        for i, c in enumerate(prev):
-            nxt[i] -= coeffs.beta[n] * c
-        prev = cur
-        polys.append(nxt)
-    return polys
+    q = Lf.denominator
+    values = []
+    h = Fraction(1)
+    scale = q
+    for num, den in _chebyshev(scaled_terms(Lf, max(2 * n_max - 2, 0)), 1, n_max)[2]:
+        h *= Fraction(num, den * scale)
+        values.append(h)
+        scale *= q * q
+    return values
 
 
 def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
@@ -495,22 +438,13 @@ def _products(beta: Iterable[Pair]) -> list[Fraction]:
     return values
 
 
-def h_products(coeffs: RecurrenceCoeffs, n_max: int) -> list[Fraction]:
-    """Hankel determinants h_1 .. h_n_max as products a_0^n beta_1^{n-1} ... beta_{n-1}.
-
-    Computed in the running form h_n = (beta_0 beta_1 ... beta_{n-1}) h_{n-1}
-    with beta_0 = a_0 and h_0 = 1.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > len(coeffs.beta):
-        raise InsufficientTerms(f"need beta_0..beta_{n_max - 1}, have {len(coeffs.beta)}")
-    return _products((b.numerator, b.denominator) for b in coeffs.beta[:n_max])
-
-
 def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
-    """Hankel determinant h_n from the beta products; h_0 = 1."""
-    return h_products(coeffs, n)[-1] if n else Fraction(1)
+    """Hankel determinant h_n = a_0^n beta_1^{n-1} ... beta_{n-1}; h_0 = 1."""
+    if n < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n > len(coeffs.beta):
+        raise InsufficientTerms(f"need beta_0..beta_{n - 1}, have {len(coeffs.beta)}")
+    return _products((b.numerator, b.denominator) for b in coeffs.beta[:n])[-1] if n else Fraction(1)
 
 
 def norm_closed_form(L: RationalLike, n: int) -> Fraction:

@@ -25,13 +25,6 @@ def as_rational(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def pascal_t(n: int, k: int, L: RationalLike) -> Fraction:
     """Entry T(n, k; L) of the generalized Pascal triangle; zero for k < 0."""
     if n < 0:
@@ -42,7 +35,7 @@ def pascal_t(n: int, k: int, L: RationalLike) -> Fraction:
     total = Fraction(0)
     power = Fraction(1)
     for j in range(n - k + 1):
-        total += binomial(k, j) * binomial(n - k, j) * power
+        total += math.comb(k, j) * math.comb(n - k, j) * power
         power *= Lf
     return total
 

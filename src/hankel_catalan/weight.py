@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .opoly import chain_coeffs
 from .sequences import RationalLike, as_rational
@@ -93,23 +93,14 @@ def moment_quadratures(spec: WeightSpec, n_max: int, cfg: QuadratureConfig) -> l
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     x, w = _substituted(spec, cfg)
-    return [float(w @ x**n) for n in range(n_max + 1)]
+    # Moment 0's 1/x part, whose peak the rule misses near L = 1, and the atom sum to
+    # min(1, L) + (1 - L)_+ = 1 exactly; w x / (1 + x) is the sin^2 part alone, and x = 0 drops out.
+    return [float(w @ (x / (1.0 + x))) + 1.0] + [float(w @ x**n) for n in range(1, n_max + 1)]
 
 
 def moment_quadrature(spec: WeightSpec, n: int, cfg: QuadratureConfig) -> float:
     """Approximate the n-th moment of the measure."""
     return moment_quadratures(spec, n, cfg)[-1]
-
-
-def polynomial_quadrature(
-    spec: WeightSpec, coeffs: Sequence, cfg: QuadratureConfig
-) -> float:
-    """Integral of a polynomial (ascending coefficients) against the measure."""
-    import numpy as np
-
-    x, w = _substituted(spec, cfg)
-    values = np.polynomial.polynomial.polyval(x, np.array([float(c) for c in coeffs]))
-    return float(w @ values)
 
 
 def orthogonality_check(L: RationalLike, n_max: int, cfg: QuadratureConfig) -> float:

@@ -300,6 +300,22 @@ def test_usage_errors_exit_one(capsys):
     assert main(["series", "--L", "2", "--terms", "0"]) == 1
 
 
+_NEAR_ONE = st.one_of(
+    st.fractions(min_value=Fraction(99, 100), max_value=Fraction(101, 100), max_denominator=10**6),
+    st.builds(lambda k, sign: 1 + sign * Fraction(1, 10**k), st.integers(1, 9), st.sampled_from((-1, 1))),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(L=_NEAR_ONE)
+@example(L=Fraction(999, 1000))
+@example(L=Fraction(10001, 10000))
+def test_quad_passes_near_one(capsys, L):
+    # near L = 1 moment 0's 1/x part peaks about |1 - sqrt L| wide, finer than the node step
+    code, out = run(capsys, ["quad", "--L", str(L), "--format", "json"])
+    assert code == 0, out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("L", ["1/2", "1/10"])
 def test_quad_below_one_counts_the_atom_at_zero(capsys, L):
     code, out = run(capsys, ["quad", "--L", L, "--format", "json"])

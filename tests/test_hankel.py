@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from hankel_catalan.hankel import (
     InsufficientTerms,
     SurdState,
-    fibonacci_check,
     h_closed_form,
     h_closed_forms,
     h_polynomial_form,
     h_polynomial_forms,
     hankel_det,
     lemma_identities,
+    odd_fibonacci,
     surd_states,
 )
 from hankel_catalan.opoly import tilde_coeffs
@@ -145,9 +145,8 @@ def test_polynomial_row_matches_single_values_and_closed_row(L):
 
 
 def test_fibonacci_transform():
-    assert fibonacci_check(1)
-    assert fibonacci_check(5)
-    assert fibonacci_check(20)
+    for n in (1, 5, 20):
+        assert h_closed_forms(1, n) == odd_fibonacci(n)
     assert [h_closed_form(1, n) for n in range(1, 6)] == [2, 5, 13, 34, 89]
     # independent recurrence oracle
     fib = [0, 1]

@@ -11,7 +11,9 @@ from hankel_catalan.hankel import (
     InsufficientTerms,
     ZeroLeadingMinor,
     h_closed_form,
+    h_closed_forms,
     h_polynomial_form,
+    h_polynomial_forms,
     hankel_det,
     hankel_minors,
     surd_states,
@@ -20,17 +22,14 @@ from hankel_catalan.opoly import (
     ChainStage,
     DivisionByZeroR,
     RecurrenceCoeffs,
-    base_stage,
     breve_coeffs,
     chain_coeffs,
     chain_products,
-    chebyshev_minors,
     gautschi_divide,
     h_from_products,
     hat_stage,
     jfraction_series,
     lambda_closed,
-    monic_polynomials,
     norm_closed_form,
     r_closed_form,
     stieltjes_from_moments,
@@ -65,13 +64,6 @@ def test_lambda_matches_chebyshev_recurrence(L):
     for n in range(2, 11):
         prev, cur = cur, c * cur - 0.25 * prev
         assert lambda_closed(L, n) == pytest.approx(cur, rel=1e-12)
-
-
-def test_base_stage_values():
-    stage = base_stage(5)
-    assert stage.alpha == (0,) * 5
-    assert stage.beta[0] == Fraction(1, 2)  # i.e. pi/2
-    assert stage.beta[1:] == (Fraction(1, 4),) * 4
 
 
 def test_tilde_golden_l4():
@@ -151,6 +143,21 @@ def test_r_recursion_matches_closed_form(L):
     for n in range(16):
         assert r[n + 1] == r_closed_form(L, n)
         assert r[n + 1] < 0
+
+
+def monic_polynomials(coeffs, count):
+    """Q_0 .. Q_count as ascending coefficient lists, from the recurrence."""
+    prev, polys = [], [[Fraction(1)]]  # Q_{-1} = 0, Q_0 = 1
+    for n in range(count):
+        cur = polys[n]
+        nxt = [Fraction(0)] + cur
+        for i, c in enumerate(cur):
+            nxt[i] -= coeffs.alpha[n] * c
+        for i, c in enumerate(prev):
+            nxt[i] -= coeffs.beta[n] * c
+        prev = cur
+        polys.append(nxt)
+    return polys
 
 
 def test_stieltjes_golden_l4():
@@ -278,12 +285,23 @@ _COEFFS = chain_coeffs(2, 3)[0]
         ),
         pytest.param(lambda: stieltjes_from_moments(a_sequence(2, 5), -1), id="stieltjes_from_moments"),
         pytest.param(lambda: surd_states(2, -1), id="surd_states"),
-        pytest.param(lambda: monic_polynomials(_COEFFS, -1), id="monic_polynomials"),
+        pytest.param(lambda: chain_products(2, -1), id="chain_products"),
+        pytest.param(lambda: chain_coeffs(2, -1), id="chain_coeffs"),
+        pytest.param(lambda: window_minors(2, -1), id="window_minors"),
     ],
 )
 def test_a_negative_size_is_rejected(call):
-    with pytest.raises(ValueError, match="nonnegative|count"):
+    with pytest.raises(ValueError, match="nonnegative"):
         call()
+
+
+@pytest.mark.parametrize("L", [1, Fraction(37, 91)])
+def test_every_row_is_empty_at_size_zero(L):
+    assert window_minors(L, 0) == h_closed_forms(L, 0) == chain_products(L, 0) == h_polynomial_forms(L, 0) == []
+    coeffs, r = chain_coeffs(L, 0)
+    assert coeffs == RecurrenceCoeffs(alpha=(), beta=())
+    assert r == (-(L + 1),)
+    assert tilde_coeffs(L, 0).alpha == ()
 
 
 def test_h_from_products_values():
@@ -364,24 +382,18 @@ def test_integer_rows_match_the_fraction_pass_on_random_moments():
         assert outcome(stieltjes_from_moments, moments, n) == expected
         assert outcome(stieltjes_from_moments, [str(a) for a in moments], n) == expected
         outcomes.add(expected[0] if isinstance(expected, tuple) else RecurrenceCoeffs)
+        # the norms' running products are the leading minors, indefinite or not
         minors = [hankel_det(moments, j) for j in range(1, n + 1)]
+        window = moments[: 2 * n - 1]
+        den = math.lcm(*(a.denominator for a in window))
+        scaled = [a.numerator * (den // a.denominator) for a in window]
         if 0 in minors:
             with pytest.raises(ZeroLeadingMinor, match=rf"U\[Q_{minors.index(0)}\^2\] = 0"):
-                chebyshev_minors(moments[: 2 * n - 1], n)
+                opoly._chebyshev(scaled, den, n)
         else:
-            assert chebyshev_minors(moments[: 2 * n - 1], n) == minors
+            norms = [Fraction(*norm) for norm in opoly._chebyshev(scaled, den, n)[2]]
+            assert [math.prod(norms[:j]) for j in range(1, n + 1)] == minors
     assert outcomes == {RecurrenceCoeffs, ZeroLeadingMinor, ValueError}
-
-
-def test_chebyshev_minors_edges():
-    assert chebyshev_minors([], 0) == []
-    assert chebyshev_minors([Fraction(-3, 2)], 1) == [Fraction(-3, 2)]
-    with pytest.raises(ZeroLeadingMinor):  # h_1 = 0, though h_2 = -1
-        chebyshev_minors([0, 1, 0], 2)
-    with pytest.raises(InsufficientTerms):
-        chebyshev_minors(a_sequence(2, 4), 4)
-    with pytest.raises(ValueError):
-        chebyshev_minors([1], -1)
 
 
 def fraction_divide(stage):

@@ -1,6 +1,9 @@
+import ast
+import importlib
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +19,9 @@ from hankel_catalan.hankel import (
     hankel_minors,
     odd_fibonacci,
 )
-from hankel_catalan.opoly import chain_coeffs, h_from_products, h_products
+from hankel_catalan.opoly import chain_coeffs, chain_products, h_from_products
 from hankel_catalan.sequences import SequenceParams, SequenceWindow, a_sequence
+from hankel_catalan.series import TruncatedSeries
 from hankel_catalan.verify import ROUTES, _row_values, verify_cell, verify_grid, verify_row
 
 ROW_L = [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)]
@@ -46,9 +50,9 @@ def test_row_pass_matches_cell_by_cell(L):
 @pytest.mark.parametrize("L", ROW_L)
 def test_row_helpers_match_their_single_value_forms(L):
     coeffs, _ = chain_coeffs(L, 12)
-    assert h_products(coeffs, 12) == [h_from_products(coeffs, n) for n in range(1, 13)]
+    assert chain_products(L, 12) == [h_from_products(coeffs, n) for n in range(1, 13)]
     assert h_closed_forms(L, 12) == [h_closed_form(L, n) for n in range(1, 13)]
-    assert h_products(coeffs, 0) == h_closed_forms(L, 0) == hankel_minors(a_sequence(L, 0), 0) == []
+    assert chain_products(L, 0) == h_closed_forms(L, 0) == hankel_minors(a_sequence(L, 0), 0) == []
 
 
 def test_vanishing_leading_minor_raises():
@@ -125,6 +129,27 @@ def test_package_exports_names_not_modules():
         assert not isinstance(getattr(hankel_catalan, name), ModuleType), name
     for module in ("genfunc", "hankel", "opoly", "sequences", "series", "verify", "weight"):
         assert module not in hankel_catalan.__all__
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/spans.py wraps these by name, and a traced run fails on a missing one
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    constants = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "SERIES_METHODS")
+    }
+    assert constants["FUNCTIONS"] and constants["SERIES_METHODS"]
+    for span in constants["FUNCTIONS"]:
+        module, attr = span.split(".")
+        assert hasattr(importlib.import_module(f"hankel_catalan.{module}"), attr), span
+    for attrs in constants["SERIES_METHODS"].values():
+        assert all(attr in TruncatedSeries.__dict__ for attr in attrs), attrs
+    # the tracer counts terms by the window's params.L; the benchmark self-test imports gen_catalan
+    assert a_sequence(2, 3).params.L == 2
+    assert "gen_catalan" in hankel_catalan.__all__
 
 
 @pytest.mark.parametrize(

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from hankel_catalan.opoly import chain_coeffs, monic_polynomials
+from hankel_catalan import weight
+from hankel_catalan.opoly import chain_coeffs
 from hankel_catalan.sequences import a_sequence
 from hankel_catalan.weight import (
     DomainError,
     QuadratureConfig,
     WeightSpec,
     moment_quadrature,
+    moment_quadratures,
     orthogonality_check,
-    polynomial_quadrature,
     weight_eval,
 )
 
@@ -73,15 +74,18 @@ def test_moments_match_sequence(L):
         assert abs(moment_quadrature(spec, n, cfg) - exact) / exact < 1e-8
 
 
+def inverse_x_part(L, nodes):
+    """The rule's integral of the weight's 1/x part, the theta nodes' sum of w / (1 + x)."""
+    x, w = weight._substituted(WeightSpec.for_parameter(float(L)), QuadratureConfig(node_count=nodes))
+    return float(w[:nodes] @ (1.0 / (1.0 + x[:nodes])))
+
+
 def test_refinement_reduces_error_until_noise():
-    # the 1/x factor makes the L=2 mass the only non-trig-polynomial integrand
-    spec = WeightSpec.for_parameter(2.0)
-    exact = 3.0
+    # the 1/x part is the one integrand that is no trigonometric polynomial in
+    # theta; orthogonality_check integrates it, moment 0 takes it exactly
+    exact = 1.0
     floor = 1e-13
-    errors = [
-        max(abs(moment_quadrature(spec, 0, QuadratureConfig(node_count=nodes)) - exact) / exact, floor)
-        for nodes in (16, 32, 64, 4000)
-    ]
+    errors = [max(abs(inverse_x_part(2, nodes) - exact), floor) for nodes in (16, 32, 64, 4000)]
     assert errors[1] <= errors[0]
     assert errors[2] <= errors[1]
     assert errors[3] <= errors[2]
@@ -105,16 +109,24 @@ def test_orthogonality_scales_down_with_nodes():
     assert fine <= coarse + 1e-15
 
 
+@pytest.mark.parametrize("L", BELOW_ONE[:2] + [2, 4, 8], ids=str)
+def test_the_weight_integrates_1_over_x_to_min_1_L(L):
+    # with the atom (1 - L)_+ this makes moment 0's 1/x part exactly 1
+    assert abs(inverse_x_part(L, 4000) - min(1, L)) < 1e-12
+
+
 def test_diagonal_norm_quadrature():
     coeffs, _ = chain_coeffs(4, 3)
-    q2 = monic_polynomials(coeffs, 2)[2]
+    (a0, a1), b1 = coeffs.alpha[:2], coeffs.beta[1]
+    q2 = [a0 * a1 - b1, -(a0 + a1), Fraction(1)]  # (x - a1)(x - a0) - b1
     square = [Fraction(0)] * (2 * len(q2) - 1)
     for i, a in enumerate(q2):
         for j, b in enumerate(q2):
             square[i + j] += a * b
     spec = WeightSpec.for_parameter(4.0)
     cfg = QuadratureConfig(node_count=4000)
-    value = polynomial_quadrature(spec, square, cfg)
+    moments = moment_quadratures(spec, len(square) - 1, cfg)
+    value = sum(float(c) * m for c, m in zip(square, moments))
     assert abs(value - 1088 / 13) / (1088 / 13) < 1e-8
 
 
