@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .genfunc import PoleNotCancelled, big_g_series, f_series, rho_series
 from .hankel import odd_fibonacci
-from .opoly import chain_coeffs, stieltjes_from_moments
+from .opoly import Pair, _chain, _window_coeffs
 from .sequences import a_sequence
 from .verify import ROUTES, VerificationReport, verify_grid, verify_row
 from .weight import QuadratureConfig, WeightSpec, moment_quadratures
@@ -195,34 +195,41 @@ def cmd_verify(args, result: CommandResult) -> None:
         result.rows.append(row)
 
 
+def _text(pair: Pair) -> str:
+    """A reduced pair as str() of its Fraction: p/q, or p alone when q = 1."""
+    num, den = pair
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def cmd_recurrence(args, result: CommandResult) -> None:
+    """Both derivations as the kernels' reduced pairs, compared with ==
+    (reduced pairs with positive denominators are equal exactly when their
+    values are) and printed as _text; no Fraction is built."""
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     n_max = args.n
-    chain = r = moments = None
+    chain = moments = None
     if args.method in ("chain", "both"):
-        chain, r = chain_coeffs(args.L, n_max)
-        result.summary["r_last"] = str(r[n_max])
+        chain = _chain(args.L, n_max)
+        result.summary["r_last"] = _text(chain[2][n_max])
     if args.method in ("moments", "both"):
-        window = a_sequence(args.L, 2 * n_max - 1)
-        moments = stieltjes_from_moments(window, n_max)
+        moments = _window_coeffs(args.L, n_max)
     for k in range(n_max):
         row: dict[str, object] = {"k": k}
         if chain is not None:
-            row["alpha"] = str(chain.alpha[k])
-            row["beta"] = str(chain.beta[k])
-            row["r_prev"] = str(r[k])  # r_{k-1}; r[0] is the seed ratio
+            alpha, beta, r_prev = (c[k] for c in chain)  # r[k] is r_{k-1}; r[0] is the seed ratio
+            row.update(alpha=_text(alpha), beta=_text(beta), r_prev=_text(r_prev))
         if moments is not None and chain is not None:
+            alpha_m, beta_m = moments[0][k], moments[1][k]
             # an agreeing pair reuses the chain's text: converting to decimal is the costly part
-            equal = chain.alpha[k] == moments.alpha[k] and chain.beta[k] == moments.beta[k]
-            row["alpha_moments"] = row["alpha"] if equal else str(moments.alpha[k])
-            row["beta_moments"] = row["beta"] if equal else str(moments.beta[k])
+            equal = alpha == alpha_m and beta == beta_m
+            row["alpha_moments"] = row["alpha"] if equal else _text(alpha_m)
+            row["beta_moments"] = row["beta"] if equal else _text(beta_m)
             row["equal"] = equal
             if not equal:
                 result.mismatch({"k": k, **{key: str(v) for key, v in row.items() if key != "k"}})
         elif moments is not None:
-            row["alpha"] = str(moments.alpha[k])
-            row["beta"] = str(moments.beta[k])
+            row.update(alpha=_text(moments[0][k]), beta=_text(moments[1][k]))
         result.rows.append(row)
 
 

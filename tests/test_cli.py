@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import hankel_catalan
 from hankel_catalan import weight
 from hankel_catalan.cli import build_parser, main
+from hankel_catalan.opoly import chain_coeffs, stieltjes_from_moments
+from hankel_catalan.sequences import a_sequence
 
 
 def run(capsys, argv):
@@ -115,15 +117,14 @@ def test_a_route_mismatch_is_reported_before_a_fibonacci_mismatch(capsys, monkey
 def test_recurrence_reports_chain_against_moments_mismatch(capsys, monkeypatch):
     from hankel_catalan import cli
 
-    real = cli.stieltjes_from_moments
+    real = cli._window_coeffs
 
-    def shifted(window, n_max):
-        coeffs = real(window, n_max)
-        alpha = list(coeffs.alpha)
-        alpha[1] += 1
-        return type(coeffs)(tuple(alpha), coeffs.beta)
+    def shifted(L, n_max):
+        alpha, beta = real(L, n_max)
+        a, b = alpha[1]
+        return [alpha[0], (a + b, b), *alpha[2:]], beta
 
-    monkeypatch.setattr(cli, "stieltjes_from_moments", shifted)
+    monkeypatch.setattr(cli, "_window_coeffs", shifted)
     code, out = run(capsys, ["recurrence", "--L", "4", "--n", "3", "--format", "json"])
     assert code == 2
     rows = [json.loads(line) for line in out.splitlines()]
@@ -203,6 +204,32 @@ def test_recurrence_both_methods(capsys):
     assert [row["r_prev"] for row in rows] == ["-5", "-13/15", "-51/52"]
     assert all(row["equal"] for row in rows)
     assert rows[0]["beta"] == "5"  # total mass L+1
+
+
+@pytest.mark.parametrize("method", ["chain", "moments", "both"])
+@pytest.mark.parametrize("n", [1, 12])
+@pytest.mark.parametrize("L", ["1", "4", "5/2", "1/10", "37/91"])
+def test_recurrence_text_is_the_library_fractions(capsys, L, n, method):
+    # integer values print without /1; numerators of either sign; beta_0 is rational off integer L
+    code, out = run(capsys, ["recurrence", "--L", L, "--n", str(n), "--method", method, "--format", "json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    trailer = rows.pop()
+    chain, r = chain_coeffs(L, n)
+    moments = stieltjes_from_moments(a_sequence(L, 2 * n - 1), n)
+    assert len(rows) == n
+    if method == "moments":
+        assert "r_last" not in trailer
+        assert [(row["alpha"], row["beta"]) for row in rows] == [
+            (str(a), str(b)) for a, b in zip(moments.alpha, moments.beta)
+        ]
+        return
+    assert trailer["r_last"] == str(r[n])
+    for k, row in enumerate(rows):
+        assert (row["alpha"], row["beta"], row["r_prev"]) == (str(chain.alpha[k]), str(chain.beta[k]), str(r[k]))
+        if method == "both":
+            assert (row["alpha_moments"], row["beta_moments"]) == (str(moments.alpha[k]), str(moments.beta[k]))
+            assert row["equal"] is True
 
 
 def test_series_g_golden(capsys):

@@ -367,6 +367,39 @@ def test_integer_rows_match_the_fraction_pass(L):
     assert stieltjes_from_moments(window, 0) == fraction_chebyshev(window, 0)
 
 
+def spy_on_chebyshev(monkeypatch):
+    """The den of every _chebyshev call, recorded as the pass is entered."""
+    dens = []
+    real = opoly._chebyshev
+
+    def spy(moments, den, n_max):
+        dens.append(den)
+        return real(moments, den, n_max)
+
+    monkeypatch.setattr(opoly, "_chebyshev", spy)
+    return dens
+
+
+@pytest.mark.parametrize("L", [Fraction(37, 91), Fraction(1, 10), Fraction(5, 2)])
+def test_a_plain_list_of_sequence_terms_takes_the_dilated_window(monkeypatch, L):
+    dens = spy_on_chebyshev(monkeypatch)
+    terms = list(a_sequence(L, 39).terms)
+    for n in range(1, 21):
+        assert stieltjes_from_moments(terms[: 2 * n], n) == fraction_chebyshev(terms, n)
+    assert dens == [1] * 20
+
+
+@pytest.mark.parametrize("L", [Fraction(37, 91), Fraction(5, 2)])
+def test_a_list_that_does_not_dilate_goes_over_the_lcm(monkeypatch, L):
+    # q a_l: a_0 = p + q is an integer, q a_1 = (p + q)(p + 2q)/q is not
+    dens = spy_on_chebyshev(monkeypatch)
+    q = L.denominator
+    terms = [q * a for a in a_sequence(L, 39).terms]
+    for n in range(1, 21):
+        assert stieltjes_from_moments(terms, n) == fraction_chebyshev(terms, n)
+    assert terms[0].denominator == 1 and len(dens) == 20 and all(den > 1 for den in dens)
+
+
 def test_integer_rows_match_the_fraction_pass_on_random_moments():
     # small rational moments, mostly not positive definite: zero norms,
     # negative betas and zero numerators all occur
@@ -492,3 +525,10 @@ def test_the_det_route_reports_a_vanishing_minor(monkeypatch):
     monkeypatch.setattr(opoly, "scaled_terms", lambda L, n_max: [1, 1, 1])
     with pytest.raises(ZeroLeadingMinor, match=r"U\[Q_1\^2\] = 0"):
         window_minors(1, 2)
+
+
+def test_the_moments_side_rejects_a_nonpositive_beta(monkeypatch):
+    # beta_1 = (a_0 a_2 - a_1^2) / a_0^2 = -1
+    monkeypatch.setattr(opoly, "scaled_terms", lambda L, n_max: [1, 0, -1, 0])
+    with pytest.raises(ValueError, match="all beta must be positive"):
+        opoly._window_coeffs(Fraction(1), 2)
