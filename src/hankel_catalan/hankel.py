@@ -1,12 +1,12 @@
 """Hankel determinants and the closed-form transform of the target sequence.
 
 Determinants by elimination are exact fraction-free (Bareiss) passes over
-the integers, in one routine: for the sequence's own window, entries scaled
-by powers of q (L = p/q) and no row swaps, it gives every leading minor
-h_1 .. h_N at once (hankel_minors, the elimination oracle of the `det`
-route); for an arbitrary window, entries scaled by the lcm of their
-denominators and rows swapped past a zero pivot, it gives one determinant
-(hankel_det). The `det` route itself is the Chebyshev pass in opoly. The
+the integers, in one routine, on any window written as the integers
+s t^l a_l of sequences.integer_window (s = t = q for the sequence, L = p/q):
+without row swaps it gives every leading minor h_1 .. h_N at once
+(hankel_minors, the elimination oracle of the `det` route); with rows
+swapped past a zero pivot it gives one determinant (hankel_det). The `det`
+route itself is the Chebyshev pass in opoly. The
 closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs entirely on rational
 carriers of the surd expressions, so sqrt(L^2+4) never appears: phi_n,
 psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}. For
@@ -17,14 +17,12 @@ tilde stage each run it and build one Fraction per value.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Sequence, Union
 
-from .sequences import RationalLike, SequenceWindow, as_rational, window_terms
+from .sequences import RationalLike, Window, as_rational, integer_window, window_terms
 
 
 class InsufficientTerms(ValueError):
@@ -81,48 +79,43 @@ def _bareiss(rows: list[list[int]], pivoting: bool) -> list[int]:
     return pivots
 
 
-def hankel_det(seq: Union[SequenceWindow, Sequence[RationalLike]], n: int) -> Fraction:
+def _window_pivots(seq: Window, n: int, pivoting: bool) -> tuple[list[int], int, int]:
+    """The Bareiss pivots of the n x n Hankel matrix of the integers
+    s t^l a_l (sequences.integer_window), and s and t: the k x k leading
+    minor of the integer matrix is s^k t^{k(k-1)} times that of the window."""
+    terms = window_terms(seq)
+    if len(terms) < 2 * n - 1:
+        raise InsufficientTerms(f"need a_0..a_{2 * n - 2}, window has {len(terms)} terms")
+    ints, s, t = integer_window(terms[: max(2 * n - 1, 0)])
+    return _bareiss([ints[i : i + n] for i in range(n)], pivoting), s, t
+
+
+def hankel_det(seq: Window, n: int) -> Fraction:
     """Exact n x n Hankel determinant of any window; h_0 = 1 by convention.
 
-    The entries are scaled by the lcm of their denominators, and the
-    elimination swaps rows only where a leading minor vanishes.
+    The elimination swaps rows only where a leading minor vanishes.
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
     if n == 0:
         return Fraction(1)
-    terms = window_terms(seq)[: 2 * n - 1]
-    if len(terms) < 2 * n - 1:
-        raise InsufficientTerms(f"need a_0..a_{2 * n - 2}, window has {len(terms)} terms")
-    denom = math.lcm(*(value.denominator for value in terms))
-    scaled = [value.numerator * (denom // value.denominator) for value in terms]
-    det = _bareiss([scaled[i : i + n] for i in range(n)], pivoting=True)[-1]
-    return Fraction(det, denom**n)
+    pivots, s, t = _window_pivots(seq, n, pivoting=True)
+    return Fraction(pivots[-1], s**n * t ** (n * (n - 1)))
 
 
-def hankel_minors(window: SequenceWindow, n_max: int) -> list[Fraction]:
-    """Leading minors h_1 .. h_n_max of the window's Hankel matrix in one pass.
+def hankel_minors(seq: Window, n_max: int) -> list[Fraction]:
+    """Leading minors h_1 .. h_n_max of any window's Hankel matrix in one pass.
 
-    For L = p/q the denominator of a_k divides q^{k+1}, so entry (i, j) is
-    scaled by q^{i+j+1} to an integer, and Bareiss elimination without row
-    swaps has the scaled k x k leading minor h_k * q^{k^2} as its k-th
-    pivot. The moment matrix of a positive measure has no zero pivot; a
-    hand-made window may, and raises ZeroLeadingMinor. This elimination is
-    the oracle of the Chebyshev route (opoly.window_minors).
+    Bareiss elimination without row swaps has the scaled leading minors as
+    its pivots: h_k q^{k^2} for the sequence's window (s = t = q, L = p/q).
+    The moment matrix of a positive measure has no zero pivot; a hand-made
+    window may, and raises ZeroLeadingMinor. This elimination is the oracle
+    of the Chebyshev route (opoly.window_minors).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if len(window.terms) < 2 * n_max - 1:
-        raise InsufficientTerms(f"need a_0..a_{2 * n_max - 2}, window has {len(window.terms)} terms")
-    q = window.params.L.denominator
-    scaled = []
-    for k, term in enumerate(window.terms[: 2 * n_max - 1]):
-        value = term * q ** (k + 1)
-        if value.denominator != 1:
-            raise ValueError(f"a_{k} * {q}^{k + 1} = {value} is not an integer")
-        scaled.append(value.numerator)
-    pivots = _bareiss([scaled[i : i + n_max] for i in range(n_max)], pivoting=False)
-    return [Fraction(pivot, q ** ((k + 1) ** 2)) for k, pivot in enumerate(pivots)]
+    pivots, s, t = _window_pivots(seq, n_max, pivoting=False)
+    return [Fraction(pivot, s ** (k + 1) * t ** (k * (k + 1))) for k, pivot in enumerate(pivots)]
 
 
 # -- integer carriers of the surd closed form --------------------------------

@@ -20,7 +20,9 @@ algorithm are the diagonal of the Hankel matrix's LDL^T factorization, and
 their products give the determinants too (the `det` route, on the integer
 window q^{l+1} a_l for L = p/q); the `recurrence --method moments`
 coefficients come from the same pass on the same dilated window, unscaled
-afterwards (alpha_k and beta_0 by q, beta_k by q^2).
+afterwards (alpha_k and beta_0 by q, beta_k by q^2). stieltjes_from_moments
+runs the pass on the integers s t^l a_l that sequences.integer_window makes
+of any moment list, which is that window when s = t = q.
 
 Both derivations do their per-index work on plain integers. The chain keeps
 the tilde coefficients, the ratios r_n and the output coefficients as
@@ -37,10 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, surd_states
-from .sequences import RationalLike, SequenceWindow, as_rational, scaled_terms, window_terms
+from .sequences import RationalLike, Window, as_rational, integer_window, scaled_terms, window_terms
 from .series import TruncatedSeries
 
 #: A rational as (numerator, denominator): the kernels' currency in place of Fraction.
@@ -292,11 +294,9 @@ def r_closed_form(L: RationalLike, n: int) -> Fraction:
     )
 
 
-def _chebyshev(
-    moments: Sequence[int], den: int, n_max: int
-) -> tuple[list[Pair], list[Pair], list[Pair]]:
+def _chebyshev(moments: Sequence[int], n_max: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
     """alpha_k, beta_k and the norms U[Q_k^2] for k < n_max of the functional
-    U[x^l] = moments[l] / den, l < m.
+    U[x^l] = moments[l], l < m, on integer moments.
 
     The Chebyshev algorithm from the moments (Gautschi, Orthogonal
     Polynomials: Computation and Approximation, 2004, section 2.1.7) carries
@@ -308,22 +308,21 @@ def _chebyshev(
     beta_k = sigma_{k,k}/sigma_{k-1,k-1} (beta_0 = U[1]).
 
     Row k is kept as integers over one shared denominator:
-    row[j] / den = sigma_{k,k+j}. alpha_k and beta_k come out as reduced int
-    pairs (numerator, denominator > 0) and the norm as the pair (row[0], den),
-    not reduced; no Fraction is built. The caller checks m >= 2 n_max - 1;
-    alpha_k needs U[x^{2k+1}] and is left out where that is missing.
+    row[j] / den = sigma_{k,k+j}, with den = 1 for row 0. alpha_k and beta_k
+    come out as reduced int pairs (numerator, denominator > 0) and the norm
+    as the pair (row[0], den), not reduced; no Fraction is built. The caller
+    checks m >= 2 n_max - 1; alpha_k needs U[x^{2k+1}] and is left out where
+    that is missing.
 
     Each new row is cut by a divisor known in advance (Heine's determinant
     formula, in the spirit of Beckermann and Labahn's fraction-free
-    algorithms), not by a gcd over the row. The leading minor h'_{k+1} of the
-    integer moments, the running product of their norms den0 U[Q_j^2]
-    (den0 the den given), makes h'_{k+1} Q_{k+1} a polynomial with integer
-    coefficients (Szego, Orthogonal Polynomials, 1939, section 2.2), so
-    T = den0 h'_{k+1} clears every sigma_{k+1,l}. With G = gcd(M, T), an entry
-    x over M satisfies x (T/G) = (M/G) Z with Z an integer, and M/G is prime
-    to T/G, so M/G divides x exactly. T carries den0^{k+2}, so the cut is
-    sharpest at den0 = 1, the dilated window stieltjes_from_moments and
-    window_minors pass.
+    algorithms), not by a gcd over the row. The leading minor h_{k+1} of the
+    moments, the running product of their norms, makes h_{k+1} Q_{k+1} a
+    polynomial with integer coefficients (Szego, Orthogonal Polynomials,
+    1939, section 2.2), so h_{k+1} clears every sigma_{k+1,l}. With
+    G = gcd(M, h_{k+1}), an entry x over M satisfies x (h_{k+1}/G) = (M/G) Z
+    with Z an integer, and M/G is prime to h_{k+1}/G, so M/G divides x
+    exactly.
     """
     m = min(len(moments), 2 * n_max)
     cur = list(moments[:m])
@@ -331,7 +330,7 @@ def _chebyshev(
     # its first two carry sigma_{-1,-1} = 1 and sigma_{-1,0} = 0 for the
     # ratios, which gives beta_0 = U[1] and alpha_0 = U[x]/U[1].
     prev = [1, 0] + [0] * m
-    den0, prev_den, minor = den, 1, 1
+    den, prev_den, minor = 1, 1, 1
     alpha, beta, norms = [], [], []
     for k in range(n_max):
         c0, p0 = cur[0], prev[0]
@@ -346,8 +345,8 @@ def _chebyshev(
         alpha.append((a, b))
         if k == n_max - 1:
             break
-        # h'_{k+1} = h'_k den0 U[Q_k^2], an integer for integer moments
-        minor, rest = divmod(minor * den0 * c0, den)
+        # h_{k+1} = h_k U[Q_k^2], an integer for integer moments
+        minor, rest = divmod(minor * c0, den)
         if rest:
             raise ArithmeticError(f"leading minor {k + 1} of the integer moments is not an integer")
         # sigma_{k+1,.} over M = lcm(b den, d prev_den), for alpha_k = a/b and
@@ -360,81 +359,63 @@ def _chebyshev(
         if g != 1:
             u, v, w, M = u // g, v // g, w // g, M // g
         # the new row's denominator is G; the rest of M divides every entry
-        G = math.gcd(M, den0 * minor)
+        G = math.gcd(M, minor)
         g = M // G
         row = [(u * x2 - v * x1 - w * y) // g for x1, x2, y in zip(cur[1:], cur[2:], prev[2:])]
         prev, cur, prev_den, den = cur, row, den, G
     return alpha, beta, norms
 
 
-def _undilated(alpha: Iterable[Pair], beta: Iterable[Pair], q: int) -> tuple[list[Pair], list[Pair]]:
+def _undilated(
+    alpha: Iterable[Pair], beta: Iterable[Pair], s: int, t: int
+) -> tuple[list[Pair], list[Pair]]:
     """alpha_k and beta_k of U from those of the dilated functional
-    U'[x^l] = q U[(q x)^l]: alpha'_k = q alpha_k, beta'_0 = q beta_0 and
-    beta'_k = q^2 beta_k for k >= 1, all as reduced pairs."""
-    q2 = q * q
-    alpha = [_mul(a, b, 1, q) for a, b in alpha]
-    beta = [_mul(c, d, 1, q2 if k else q) for k, (c, d) in enumerate(beta)]
+    U'[x^l] = s U[(t x)^l], whose moments are the integers of
+    sequences.integer_window: alpha_k = alpha'_k / t, beta_0 = beta'_0 / s and
+    beta_k = beta'_k / t^2 for k >= 1, all as reduced pairs."""
+    t2 = t * t
+    alpha = [_mul(a, b, 1, t) for a, b in alpha]
+    beta = [_mul(c, d, 1, t2 if k else s) for k, (c, d) in enumerate(beta)]
     return alpha, beta
 
 
 def _window_pass(L: Fraction, n_max: int, terms: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
-    """The Chebyshev pass, with den = 1, on the sequence's dilated window: the
-    integers q^{l+1} a_l for l < terms (L = p/q, sequences.scaled_terms).
+    """The Chebyshev pass on the sequence's dilated window: the integers
+    q^{l+1} a_l for l < terms (L = p/q, sequences.scaled_terms), which
+    integer_window gives with s = t = q.
 
     These are the moments of U'[x^l] = q U[(q x)^l], so the pass returns
     that functional's alpha'_k, beta'_k and norms U'[Q'_k^2] =
     q^{2k+1} U[Q_k^2]. window_minors reads the norms (the det route) and
     _window_coeffs unscales alpha and beta.
     """
-    return _chebyshev(scaled_terms(L, max(terms - 1, 0)), 1, n_max)
+    return _chebyshev(scaled_terms(L, max(terms - 1, 0)), n_max)
 
 
 def _window_coeffs(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair]]:
     """alpha_k and beta_k, k < n_max, of the sequence's functional as reduced
     pairs, from its dilated window: the `recurrence` command's moments side."""
     alpha, beta, _ = _window_pass(L, n_max, 2 * n_max)
-    alpha, beta = _undilated(alpha, beta, L.denominator)
+    alpha, beta = _undilated(alpha, beta, L.denominator, L.denominator)
     if any(b <= 0 for b, _ in beta):
         raise ValueError("all beta must be positive for a positive-definite functional")
     return alpha, beta
 
 
-def stieltjes_from_moments(
-    seq: Union[SequenceWindow, Sequence[RationalLike]], n_max: int
-) -> RecurrenceCoeffs:
+def stieltjes_from_moments(seq: Window, n_max: int) -> RecurrenceCoeffs:
     """Recurrence coefficients straight from the moments a_0 .. a_{2 n_max - 1},
-    exactly, in O(n^2) integer operations (the Chebyshev algorithm; see
-    _chebyshev).
-
-    The pass runs on integers. With q the denominator of a_0, when every
-    q^{l+1} a_l is an integer (every SequenceWindow, and its terms as a plain
-    list) the pass reads that dilated window with den = 1 and the
-    coefficients are unscaled afterwards (_undilated). Any other list is
-    brought over the lcm of its denominators, whose powers then ride in the
-    exact divisor of every row and stay in the rows: the 37/91 terms times
-    q = 91, which miss the dilation, took 2.2 times as long as the
-    sequence's own terms at n = 40 (11 against 5 ms) and 2.5 times at
-    n = 120 (0.55 against 0.23 s), on CPython 3.11.
+    exactly, in O(n^2) integer operations: the Chebyshev algorithm (see
+    _chebyshev) on the integers s t^l a_l of sequences.integer_window, its
+    coefficients unscaled afterwards (_undilated).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-    moments = moments[: 2 * n_max]
-    q = moments[0].denominator if moments else 1
-    dilated, power = [], 1
-    for a in moments:
-        power *= q
-        if power % a.denominator:
-            break
-        dilated.append(a.numerator * (power // a.denominator))
-    if len(dilated) == len(moments):
-        alpha, beta, _ = _chebyshev(dilated, 1, n_max)
-        alpha, beta = _undilated(alpha, beta, q)
-    else:
-        den = math.lcm(*(a.denominator for a in moments))
-        alpha, beta, _ = _chebyshev([a.numerator * (den // a.denominator) for a in moments], den, n_max)
+    ints, s, t = integer_window(moments[: 2 * n_max])
+    alpha, beta, _ = _chebyshev(ints, n_max)
+    alpha, beta = _undilated(alpha, beta, s, t)
     return RecurrenceCoeffs(
         alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -67,6 +69,10 @@ class SequenceWindow:
     terms: tuple[Fraction, ...]
 
 
+#: What the determinant and moments routes read: a window or a bare list of rationals.
+Window = Union[SequenceWindow, Sequence[RationalLike]]
+
+
 def scaled_terms(L: RationalLike, n_max: int) -> list[int]:
     """The window as integers: q^{n+1} a_n for n = 0..n_max, where L = p/q.
 
@@ -106,7 +112,22 @@ def a_sequence(L: RationalLike, n_max: int) -> SequenceWindow:
     return SequenceWindow(params=params, terms=tuple(terms))
 
 
-def window_terms(seq: Union[SequenceWindow, Sequence[RationalLike]]) -> tuple[Fraction, ...]:
+def integer_window(terms: Sequence[Fraction]) -> tuple[list[int], int, int]:
+    """Any list of rationals a_l as the integers s t^l a_l: returns (ints, s, t).
+
+    t = den(a_1) / gcd(den(a_1), den(a_0)) (1 for fewer than two terms), and
+    s = lcm_l den(a_l) / gcd(den(a_l), t^l) is the least s for that t. On the
+    sequence's window (L = p/q) this is s = t = q and scaled_terms. It is
+    not always the smallest dilation of the list.
+    """
+    dens = [a.denominator for a in terms]
+    t = dens[1] // math.gcd(dens[1], dens[0]) if len(dens) > 1 else 1
+    powers = list(accumulate(repeat(t, len(dens) - 1), mul, initial=1))
+    s = math.lcm(*(den // math.gcd(den, power) for den, power in zip(dens, powers)))
+    return [a.numerator * (power * s // den) for a, den, power in zip(terms, dens, powers)], s, t
+
+
+def window_terms(seq: Window) -> tuple[Fraction, ...]:
     """Accept either a SequenceWindow or a bare list of rationals."""
     if isinstance(seq, SequenceWindow):
         return seq.terms

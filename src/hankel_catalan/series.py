@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Union
 
-from .sequences import as_rational
+from .sequences import as_rational, integer_window
 
 Scalar = Union[int, Fraction]
 
@@ -74,13 +74,10 @@ class TruncatedSeries:
             raise ValueError(f"order {order} is negative")
         values = [as_rational(c) for c in coeffs][: order + 1]
         values.extend([Fraction(0)] * (order + 1 - len(values)))
-        # The linear coefficient's denominator as argument scale makes
-        # polynomials such as 1 - 2(L+1)x + (L-1)^2 x^2 integral at L = p/q.
-        s = values[1].denominator if order else 1
-        powers = _rescaled([1] * len(values), s)
-        den = math.lcm(*(c.denominator // math.gcd(c.denominator, p) for c, p in zip(values, powers)))
-        F = [c.numerator * (p * den // c.denominator) for c, p in zip(values, powers)]
-        self._store(Fraction(1, den), s, F)
+        # c_k = F_k / (s t^k); polynomials such as 1 - 2(L+1)x + (L-1)^2 x^2
+        # at L = p/q come out with t = q and s = 1.
+        F, s, t = integer_window(values)
+        self._store(Fraction(1, s), t, F)
 
     def _store(self, r: Fraction, s: int, F: list[int]) -> None:
         """Hold r * F(x/s), with F made primitive and its first nonzero entry positive."""

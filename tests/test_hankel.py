@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hankel_catalan.hankel import (
     InsufficientTerms,
     SurdState,
+    ZeroLeadingMinor,
     h_closed_form,
     h_closed_forms,
     h_polynomial_form,
     h_polynomial_forms,
     hankel_det,
+    hankel_minors,
     lemma_identities,
     odd_fibonacci,
     surd_states,
@@ -73,6 +75,44 @@ def test_zero_leading_minors_are_pivoted_past():
         terms = [Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((1, 2, 3))) for _ in range(2 * n - 1)]
         rows = [[terms[i + j] for j in range(n)] for i in range(n)]
         assert hankel_det(terms, n) == naive_det(rows)
+
+
+def hankel_rows(terms, n):
+    return [[terms[i + j] for j in range(n)] for i in range(n)]
+
+
+def test_rational_windows_match_the_cofactor_oracle():
+    # the integer window s t^l a_l of lists that no power of one q makes integral
+    rng = random.Random(91)
+    lists = [[91 * a for a in a_sequence(Fraction(37, 91), 8).terms]]
+    for _ in range(300):
+        size = rng.randint(1, 5)
+        lists.append([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2 * size - 1)])
+    for terms in lists:
+        n_max = (len(terms) + 1) // 2
+        minors = [naive_det(hankel_rows(terms, n)) for n in range(1, n_max + 1)]
+        assert [hankel_det(terms, n) for n in range(1, n_max + 1)] == minors
+        if 0 in minors:
+            with pytest.raises(ZeroLeadingMinor):
+                hankel_minors(terms, n_max)
+        else:
+            assert hankel_minors(terms, n_max) == minors
+
+
+def test_minors_take_a_list_in_place_of_a_window():
+    window = a_sequence(Fraction(37, 91), 10)
+    minors = [naive_det(hankel_rows(window.terms, n)) for n in range(1, 7)]
+    assert hankel_minors(window, 6) == hankel_minors(list(window.terms), 6) == minors
+    assert hankel_minors([str(a) for a in window.terms], 6) == minors
+
+
+def test_a_zero_leading_minor_is_pivoted_past_by_det_and_raised_by_minors():
+    terms = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 9), Fraction(5, 7), Fraction(1, 11)]
+    assert naive_det(hankel_rows(terms, 2)) == 0
+    assert hankel_det(terms, 3) == naive_det(hankel_rows(terms, 3)) != 0
+    assert hankel_minors(terms, 1) == [Fraction(1, 2)]
+    with pytest.raises(ZeroLeadingMinor, match="h_2"):
+        hankel_minors(terms, 3)
 
 
 def test_insufficient_terms():

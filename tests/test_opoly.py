@@ -36,7 +36,7 @@ from hankel_catalan.opoly import (
     tilde_coeffs,
     window_minors,
 )
-from hankel_catalan.sequences import a_sequence, gen_catalan, scaled_terms
+from hankel_catalan.sequences import a_sequence, gen_catalan, integer_window, scaled_terms
 from hankel_catalan.weight import QuadratureConfig, WeightSpec, moment_quadrature
 
 
@@ -367,37 +367,39 @@ def test_integer_rows_match_the_fraction_pass(L):
     assert stieltjes_from_moments(window, 0) == fraction_chebyshev(window, 0)
 
 
-def spy_on_chebyshev(monkeypatch):
-    """The den of every _chebyshev call, recorded as the pass is entered."""
-    dens = []
-    real = opoly._chebyshev
+def spy_on_window(monkeypatch):
+    """The (s, t) of every integer_window the moments route takes."""
+    scales = []
+    real = opoly.integer_window
 
-    def spy(moments, den, n_max):
-        dens.append(den)
-        return real(moments, den, n_max)
+    def spy(terms):
+        ints, s, t = real(terms)
+        scales.append((s, t))
+        return ints, s, t
 
-    monkeypatch.setattr(opoly, "_chebyshev", spy)
-    return dens
+    monkeypatch.setattr(opoly, "integer_window", spy)
+    return scales
 
 
 @pytest.mark.parametrize("L", [Fraction(37, 91), Fraction(1, 10), Fraction(5, 2)])
 def test_a_plain_list_of_sequence_terms_takes_the_dilated_window(monkeypatch, L):
-    dens = spy_on_chebyshev(monkeypatch)
+    scales = spy_on_window(monkeypatch)
+    q = L.denominator
     terms = list(a_sequence(L, 39).terms)
     for n in range(1, 21):
         assert stieltjes_from_moments(terms[: 2 * n], n) == fraction_chebyshev(terms, n)
-    assert dens == [1] * 20
+    assert scales == [(q, q)] * 20
 
 
 @pytest.mark.parametrize("L", [Fraction(37, 91), Fraction(5, 2)])
-def test_a_list_that_does_not_dilate_goes_over_the_lcm(monkeypatch, L):
+def test_q_times_the_terms_dilate_by_t_alone(monkeypatch, L):
     # q a_l: a_0 = p + q is an integer, q a_1 = (p + q)(p + 2q)/q is not
-    dens = spy_on_chebyshev(monkeypatch)
+    scales = spy_on_window(monkeypatch)
     q = L.denominator
     terms = [q * a for a in a_sequence(L, 39).terms]
     for n in range(1, 21):
         assert stieltjes_from_moments(terms, n) == fraction_chebyshev(terms, n)
-    assert terms[0].denominator == 1 and len(dens) == 20 and all(den > 1 for den in dens)
+    assert terms[0].denominator == 1 and scales == [(1, q)] * 20
 
 
 def test_integer_rows_match_the_fraction_pass_on_random_moments():
@@ -415,16 +417,18 @@ def test_integer_rows_match_the_fraction_pass_on_random_moments():
         assert outcome(stieltjes_from_moments, moments, n) == expected
         assert outcome(stieltjes_from_moments, [str(a) for a in moments], n) == expected
         outcomes.add(expected[0] if isinstance(expected, tuple) else RecurrenceCoeffs)
-        # the norms' running products are the leading minors, indefinite or not
+        # the norms' running products are the leading minors, indefinite or
+        # not; the k-th norm of the integer window is s t^{2k} U[Q_k^2]
         minors = [hankel_det(moments, j) for j in range(1, n + 1)]
-        window = moments[: 2 * n - 1]
-        den = math.lcm(*(a.denominator for a in window))
-        scaled = [a.numerator * (den // a.denominator) for a in window]
+        scaled, s, t = integer_window(moments[: 2 * n - 1])
         if 0 in minors:
             with pytest.raises(ZeroLeadingMinor, match=rf"U\[Q_{minors.index(0)}\^2\] = 0"):
-                opoly._chebyshev(scaled, den, n)
+                opoly._chebyshev(scaled, n)
         else:
-            norms = [Fraction(*norm) for norm in opoly._chebyshev(scaled, den, n)[2]]
+            norms = [
+                Fraction(num, den * s * t ** (2 * k))
+                for k, (num, den) in enumerate(opoly._chebyshev(scaled, n)[2])
+            ]
             assert [math.prod(norms[:j]) for j in range(1, n + 1)] == minors
     assert outcomes == {RecurrenceCoeffs, ZeroLeadingMinor, ValueError}
 
@@ -488,7 +492,7 @@ def test_scaled_terms_are_the_triangle_sums_times_powers_of_q(L):
 
 @pytest.mark.parametrize("L", [1, 2, Fraction(1, 3), Fraction(37, 91)])
 def test_chebyshev_pass_pairs_are_reduced(L):
-    alpha, beta, norms = opoly._chebyshev(scaled_terms(L, 39), 1, 20)
+    alpha, beta, norms = opoly._chebyshev(scaled_terms(L, 39), 20)
     assert reduced(alpha) and reduced(beta)
     assert len(alpha) == len(beta) == len(norms) == 20
 

@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankel_catalan.sequences import (
     SequenceParams,
     a_sequence,
     gen_catalan,
+    integer_window,
     pascal_t,
+    scaled_terms,
     window_terms,
 )
 
@@ -95,3 +99,32 @@ def test_params_validation():
 def test_window_terms_accepts_plain_lists():
     assert window_terms([1, 2, Fraction(1, 3)]) == (1, 2, Fraction(1, 3))
     assert window_terms(a_sequence(2, 2)) == (3, 8, 28)
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.one_of(st.just(Fraction(0)), RATIONALS), max_size=12))
+@example(terms=[])
+@example(terms=[Fraction(0), Fraction(0)])
+@example(terms=[Fraction(3, 2), Fraction(1, 9), Fraction(1)])  # t = 9, s = 2
+@example(terms=[Fraction(-1, 4), Fraction(5, 6), Fraction(-7, 27), Fraction(1, 5)])
+def test_integer_window_writes_any_list_as_integers(terms):
+    ints, s, t = integer_window(terms)
+    assert len(ints) == len(terms)
+    assert all(type(value) is int for value in ints)
+    assert type(s) is int and type(t) is int and s >= 1 and t >= 1
+    assert ints == [s * t**l * a for l, a in enumerate(terms)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4)),
+    n_max=st.integers(1, 30),
+)
+@example(L=Fraction(37, 91), n_max=30)
+@example(L=Fraction(1, 2), n_max=1)
+def test_integer_window_of_the_sequence_is_its_scaled_terms(L, n_max):
+    q = L.denominator
+    assert integer_window(a_sequence(L, n_max).terms) == (scaled_terms(L, n_max), q, q)

@@ -68,10 +68,11 @@ def test_vanishing_leading_minor_raises():
 def test_minors_reject_bad_windows():
     with pytest.raises(InsufficientTerms):
         hankel_minors(a_sequence(3, 4), 4)
-    # a_1 = 1/9 is not an integer after scaling by q^2 = 4 for L = 1/2
+    # a_1 = 1/9 is no integer times a power of q = 2 for L = 1/2; the integer
+    # window dilates it by t = 9 and s = 2 all the same
     window = SequenceWindow(SequenceParams(Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 9), Fraction(1)))
-    with pytest.raises(ValueError, match="not an integer"):
-        hankel_minors(window, 2)
+    assert hankel_minors(window, 2) == [hankel_det(window, 1), hankel_det(window, 2)]
+    assert hankel_minors(window, 2) == [Fraction(3, 2), Fraction(241, 162)]
 
 
 def test_row_and_cell_closed_forms_share_the_integrality_warning(monkeypatch):
