@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .genfunc import PoleNotCancelled, big_g_series, f_series, rho_series
 from .hankel import odd_fibonacci
-from .opoly import Pair, _chain, _window_coeffs
+from .opoly import Pair, chain_pairs, window_pairs
 from .sequences import a_sequence
 from .verify import ROUTES, VerificationReport, verify_grid, verify_row
 from .weight import QuadratureConfig, WeightSpec, moment_quadratures
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+        p.add_argument("--format", choices=tuple(RENDERERS), default="plain")
 
     p_seq = sub.add_parser("seq", help="print a_0..a_n exactly")
     p_seq.add_argument("--L", type=_positive_rational, required=True)
@@ -210,10 +210,10 @@ def cmd_recurrence(args, result: CommandResult) -> None:
     n_max = args.n
     chain = moments = None
     if args.method in ("chain", "both"):
-        chain = _chain(args.L, n_max)
+        chain = chain_pairs(args.L, n_max)
         result.summary["r_last"] = _text(chain[2][n_max])
     if args.method in ("moments", "both"):
-        moments = _window_coeffs(args.L, n_max)
+        moments = window_pairs(args.L, n_max)
     for k in range(n_max):
         row: dict[str, object] = {"k": k}
         if chain is not None:

@@ -31,7 +31,7 @@ the Chebyshev pass keeps alpha_k and beta_k as reduced int pairs. A Fraction
 is built only for a coefficient returned to a library caller and for the
 running product that gives h_n, which stays a product of reduced factors, so
 no gcd ever pairs two integers of h_n's O(n^2) bits. The `recurrence`
-command compares and prints the pairs of _chain and _window_coeffs directly.
+command compares and prints the pairs of chain_pairs and window_pairs directly.
 """
 
 from __future__ import annotations
@@ -260,18 +260,19 @@ def _as_fractions(
     return coeffs, tuple(Fraction(*x) for x in r)
 
 
-def _chain(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
-    """The exact chain on int pairs: tilde pairs from the carriers Y_n, the
-    breve mass L(L+2) = p(p+2q)/q^2, and the division by x from
-    r_{-1} = -(p+q)/q."""
-    alpha, beta = _tilde_pairs(L, n_max)
-    p, q = L.numerator, L.denominator
+def chain_pairs(L: RationalLike, n_max: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
+    """The exact chain on int pairs (alpha, beta and r of _divide_by_x): tilde
+    pairs from the carriers Y_n, the breve mass L(L+2) = p(p+2q)/q^2, and the
+    division by x from r_{-1} = -(p+q)/q. The `recurrence` command's chain side."""
+    Lf = as_rational(L)
+    alpha, beta = _tilde_pairs(Lf, n_max)
+    p, q = Lf.numerator, Lf.denominator
     return _divide_by_x((-(p + q), q), alpha, [(p * (p + 2 * q), q * q), *beta])
 
 
 def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
     """Run the exact part of the chain end to end: tilde -> breve -> divide by x."""
-    return _as_fractions(_chain(as_rational(L), n_max))
+    return _as_fractions(chain_pairs(L, n_max))
 
 
 def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -279,7 +280,7 @@ def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
 
     The chain runs on int pairs from the carriers Y_n, and only the running
     products of its betas become Fractions (see _products)."""
-    return _products(_chain(as_rational(L), n_max)[1])
+    return _products(chain_pairs(L, n_max)[1])
 
 
 def r_closed_form(L: RationalLike, n: int) -> Fraction:
@@ -379,24 +380,15 @@ def _undilated(
     return alpha, beta
 
 
-def _window_pass(L: Fraction, n_max: int, terms: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
-    """The Chebyshev pass on the sequence's dilated window: the integers
-    q^{l+1} a_l for l < terms (L = p/q, sequences.scaled_terms), which
-    integer_window gives with s = t = q.
-
-    These are the moments of U'[x^l] = q U[(q x)^l], so the pass returns
-    that functional's alpha'_k, beta'_k and norms U'[Q'_k^2] =
-    q^{2k+1} U[Q_k^2]. window_minors reads the norms (the det route) and
-    _window_coeffs unscales alpha and beta.
-    """
-    return _chebyshev(scaled_terms(L, max(terms - 1, 0)), n_max)
-
-
-def _window_coeffs(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair]]:
+def window_pairs(L: RationalLike, n_max: int) -> tuple[list[Pair], list[Pair]]:
     """alpha_k and beta_k, k < n_max, of the sequence's functional as reduced
-    pairs, from its dilated window: the `recurrence` command's moments side."""
-    alpha, beta, _ = _window_pass(L, n_max, 2 * n_max)
-    alpha, beta = _undilated(alpha, beta, L.denominator, L.denominator)
+    pairs, from the Chebyshev pass on its dilated window q^{l+1} a_l,
+    l < 2 n_max (see window_minors): the `recurrence` command's moments side."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    Lf = as_rational(L)
+    alpha, beta, _ = _chebyshev(scaled_terms(Lf, max(2 * n_max - 1, 0)), n_max)
+    alpha, beta = _undilated(alpha, beta, Lf.denominator, Lf.denominator)
     if any(b <= 0 for b, _ in beta):
         raise ValueError("all beta must be positive for a positive-definite functional")
     return alpha, beta
@@ -424,7 +416,8 @@ def stieltjes_from_moments(seq: Window, n_max: int) -> RecurrenceCoeffs:
 def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
     """The det route: h_1 .. h_n_max of the sequence's own window, read as
     the integers q^{l+1} a_l (l <= 2 n_max - 2, L = p/q) that the
-    Narayana recurrence yields (sequences.scaled_terms).
+    Narayana recurrence yields (sequences.scaled_terms): the moments of
+    U'[x^l] = q U[(q x)^l].
 
     h is the running product of the Chebyshev pass's norms, q^{2k+1} U[Q_k^2]
     on these integers, each one reduced Fraction, so no gcd ever pairs two
@@ -437,7 +430,7 @@ def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
     values = []
     h = Fraction(1)
     scale = q
-    for num, den in _window_pass(Lf, n_max, 2 * n_max - 1)[2]:
+    for num, den in _chebyshev(scaled_terms(Lf, max(2 * n_max - 2, 0)), n_max)[2]:
         h *= Fraction(num, den * scale)
         values.append(h)
         scale *= q * q

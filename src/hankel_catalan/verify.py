@@ -1,8 +1,8 @@
 """Multi-route verification grid for the Hankel transform values.
 
-Every cell (L, n) computes the transform by up to four independent routes
+Every cell (L, n) computes the transform by the routes of ROUTES, up to four
 (determinant, surd closed form, beta-product reconstruction, explicit
-polynomial) and records whether they agree exactly. The determinant is the
+polynomial), and records whether they agree exactly. The determinant is the
 product of the norms U[Q_k^2] of the Chebyshev algorithm on the window a_k,
 read as the integers q^{k+1} a_k for L = p/q, which is the structured LDL^T
 factorization of the Hankel matrix. The unit of work is a row: one L and
@@ -17,13 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from .hankel import h_closed_forms, h_polynomial_forms
 from .opoly import chain_products, window_minors
 from .sequences import RationalLike, as_rational
 
-ROUTES = ("det", "closed", "product", "poly")
+#: Route name -> row function (L, n_max) -> [h_1 .. h_n_max], in column order.
+ROUTES = {
+    "det": window_minors,
+    "closed": h_closed_forms,
+    "product": chain_products,
+    "poly": h_polynomial_forms,
+}
 
 
 @dataclass
@@ -36,27 +42,16 @@ class VerificationReport:
     agree: bool
 
 
-def _row_values(Lf: Fraction, n_max: int, route: str) -> list[Fraction]:
-    """h_1 .. h_n_max of one route."""
-    if route == "det":
-        return window_minors(Lf, n_max)
-    if route == "closed":
-        return h_closed_forms(Lf, n_max)
-    if route == "product":
-        return chain_products(Lf, n_max)
-    return h_polynomial_forms(Lf, n_max)
-
-
 def verify_row(
-    L: RationalLike, n_max: int, routes: Sequence[str] = ROUTES
+    L: RationalLike, n_max: int, routes: Collection[str] = ROUTES
 ) -> list[VerificationReport]:
     """Reports for (L, 1) .. (L, n_max), each route computed once for the row."""
     Lf = as_rational(L)
     if n_max < 1:
         raise ValueError("n must be positive")
     if not routes or not set(routes) <= set(ROUTES):
-        raise ValueError(f"routes must be a nonempty subset of {ROUTES}, got {tuple(routes)}")
-    columns = {route: _row_values(Lf, n_max, route) for route in ROUTES if route in routes}
+        raise ValueError(f"routes must be a nonempty subset of {tuple(ROUTES)}, got {tuple(routes)}")
+    columns = {name: row(Lf, n_max) for name, row in ROUTES.items() if name in routes}
     reports = []
     for n in range(1, n_max + 1):
         values = {route: column[n - 1] for route, column in columns.items()}
@@ -67,7 +62,7 @@ def verify_row(
     return reports
 
 
-def verify_cell(L: RationalLike, n: int, routes: Sequence[str] = ROUTES) -> VerificationReport:
+def verify_cell(L: RationalLike, n: int, routes: Collection[str] = ROUTES) -> VerificationReport:
     """Compute one (L, n) transform value by the requested routes."""
     return verify_row(L, n, routes)[-1]
 

@@ -13,6 +13,7 @@ from hankel_catalan import weight
 from hankel_catalan.cli import build_parser, main
 from hankel_catalan.opoly import chain_coeffs, stieltjes_from_moments
 from hankel_catalan.sequences import a_sequence
+from hankel_catalan.verify import ROUTES
 
 
 def run(capsys, argv):
@@ -66,7 +67,7 @@ def test_a_mismatched_row_prints_each_route_value(capsys, monkeypatch):
     from hankel_catalan import verify
 
     closed = verify.h_closed_forms
-    monkeypatch.setattr(verify, "h_closed_forms", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
+    monkeypatch.setitem(verify.ROUTES, "closed", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
     code, out = run(capsys, ["hankel", "--L", "2", "--n", "3", "--format", "json"])
     assert code == 2
     rows = [json.loads(line) for line in out.splitlines()]
@@ -106,7 +107,7 @@ def test_a_route_mismatch_is_reported_before_a_fibonacci_mismatch(capsys, monkey
 
     _break_odd_fibonacci(monkeypatch)
     closed = verify.h_closed_forms
-    monkeypatch.setattr(verify, "h_closed_forms", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
+    monkeypatch.setitem(verify.ROUTES, "closed", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
     code, out = run(capsys, ["verify", "--L", "1,2", "--n-max", "3", "--format", "json"])
     assert code == 2
     assert json.loads(out.splitlines()[-1])["first_mismatch"] == {
@@ -117,14 +118,14 @@ def test_a_route_mismatch_is_reported_before_a_fibonacci_mismatch(capsys, monkey
 def test_recurrence_reports_chain_against_moments_mismatch(capsys, monkeypatch):
     from hankel_catalan import cli
 
-    real = cli._window_coeffs
+    real = cli.window_pairs
 
     def shifted(L, n_max):
         alpha, beta = real(L, n_max)
         a, b = alpha[1]
         return [alpha[0], (a + b, b), *alpha[2:]], beta
 
-    monkeypatch.setattr(cli, "_window_coeffs", shifted)
+    monkeypatch.setattr(cli, "window_pairs", shifted)
     code, out = run(capsys, ["recurrence", "--L", "4", "--n", "3", "--format", "json"])
     assert code == 2
     rows = [json.loads(line) for line in out.splitlines()]
@@ -382,7 +383,7 @@ _L_RANGE = st.one_of(
 #: _REQUIRED[command] of them are required and always given.
 _OPTIONS = {
     "seq": [("--L", _L), ("--n", _NUMBER)],
-    "hankel": [("--L", _L), ("--n", _NUMBER), ("--method", st.sampled_from(["det", "closed", "product", "poly", "all"]))],
+    "hankel": [("--L", _L), ("--n", _NUMBER), ("--method", st.sampled_from([*ROUTES, "all"]))],
     "verify": [("--L", _L_RANGE), ("--n-max", _NUMBER)],
     "recurrence": [("--L", _L), ("--n", _NUMBER), ("--method", st.sampled_from(["chain", "moments", "both"]))],
     "series": [("--L", _L), ("--terms", _NUMBER), ("--which", st.sampled_from(["G", "F", "rho"]))],

@@ -288,6 +288,8 @@ _COEFFS = chain_coeffs(2, 3)[0]
         pytest.param(lambda: chain_products(2, -1), id="chain_products"),
         pytest.param(lambda: chain_coeffs(2, -1), id="chain_coeffs"),
         pytest.param(lambda: window_minors(2, -1), id="window_minors"),
+        pytest.param(lambda: opoly.chain_pairs(2, -1), id="chain_pairs"),
+        pytest.param(lambda: opoly.window_pairs(2, -1), id="window_pairs"),
     ],
 )
 def test_a_negative_size_is_rejected(call):
@@ -469,7 +471,7 @@ def test_chain_kernel_matches_the_fraction_loop(L, n_max):
     assert list(ratios) == r
     assert gautschi_divide(breve) == (coeffs, ratios)
     # the kernel's pairs are what it claims: lowest terms, positive denominators
-    assert all(map(reduced, opoly._chain(L, n_max)))
+    assert all(map(reduced, opoly.chain_pairs(L, n_max)))
     assert all(map(reduced, opoly._tilde_pairs(L, n_max)))
 
 
@@ -535,4 +537,4 @@ def test_the_moments_side_rejects_a_nonpositive_beta(monkeypatch):
     # beta_1 = (a_0 a_2 - a_1^2) / a_0^2 = -1
     monkeypatch.setattr(opoly, "scaled_terms", lambda L, n_max: [1, 0, -1, 0])
     with pytest.raises(ValueError, match="all beta must be positive"):
-        opoly._window_coeffs(Fraction(1), 2)
+        opoly.window_pairs(Fraction(1), 2)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hankel_catalan
-from hankel_catalan import hankel
+from hankel_catalan import cli, hankel
 from hankel_catalan.hankel import (
     InsufficientTerms,
     NonIntegerResult,
@@ -22,7 +22,7 @@ from hankel_catalan.hankel import (
 from hankel_catalan.opoly import chain_coeffs, chain_products, h_from_products
 from hankel_catalan.sequences import SequenceParams, SequenceWindow, a_sequence
 from hankel_catalan.series import TruncatedSeries
-from hankel_catalan.verify import ROUTES, _row_values, verify_cell, verify_grid, verify_row
+from hankel_catalan.verify import ROUTES, verify_cell, verify_grid, verify_row
 
 ROW_L = [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)]
 
@@ -105,8 +105,20 @@ def test_routes_subset_and_grid_order():
 
 @pytest.mark.parametrize("routes", [("bogus",), (), ("det", "bogus")])
 def test_row_rejects_unknown_or_empty_routes(routes):
-    with pytest.raises(ValueError, match=re.escape(str(ROUTES))):
+    with pytest.raises(ValueError, match=re.escape(str(tuple(ROUTES)))):
         verify_row(2, 2, routes)
+
+
+def test_a_route_is_one_table_entry(monkeypatch, capsys):
+    # hankel --method is not tried: build_parser is cached, and is built here
+    # first so that its choices stay those of the real table
+    cli.build_parser()
+    monkeypatch.setitem(ROUTES, "twin", ROUTES["closed"])
+    row = verify_row(Fraction(37, 91), 8)
+    assert all(list(report.values) == ["det", "closed", "product", "poly", "twin"] for report in row)
+    assert all(report.agree for report in row)
+    assert cli.main(["verify", "--L", "2", "--n-max", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "L,n,det,closed,product,poly,twin,agree"
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -158,7 +170,7 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 )
 def test_det_column_matches_the_bareiss_oracle(L, N):
     Lf = Fraction(L)
-    assert _row_values(Lf, N, "det") == hankel_minors(a_sequence(Lf, 2 * N - 2), N)
+    assert ROUTES["det"](Lf, N) == hankel_minors(a_sequence(Lf, 2 * N - 2), N)
 
 
 def test_every_route_agrees_at_n_160():
