@@ -38,10 +38,8 @@ from .opoly import (
     ChainStage,
     DivisionByZeroR,
     RecurrenceCoeffs,
-    breve_coeffs,
     chain_coeffs,
     chain_products,
-    gautschi_divide,
     h_from_products,
     hat_stage,
     jfraction_series,

@@ -263,6 +263,10 @@ def cmd_quad(args, result: CommandResult) -> None:
         raise UsageError("--nodes must be at least 16")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("--tol must be finite and positive")
+    try:
+        import numpy  # noqa: F401  # the quadrature's only dependency
+    except ImportError:
+        raise UsageError("quad needs numpy: pip install 'hankel-catalan[quad]'") from None
     window = a_sequence(args.L, args.moments)
     try:
         spec = WeightSpec.for_parameter(float(args.L))
@@ -303,9 +307,8 @@ def _render_json(result: CommandResult) -> None:
         "status": result.status,
         **result.summary,
     }
-    lines = [_JSON.encode(row) for row in result.rows]
-    lines.append(_JSON.encode(trailer))
-    sys.stdout.write("\n".join(lines) + "\n")
+    for record in (*result.rows, trailer):
+        sys.stdout.write(_JSON.encode(record) + "\n")
 
 
 def _render_csv(result: CommandResult) -> None:

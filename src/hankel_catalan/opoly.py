@@ -79,7 +79,7 @@ class ChainStage:
     value beta[0] * pi.
     """
 
-    stage: str  # "hat" | "tilde" | "breve"
+    stage: str  # "hat" | "tilde"
     L: Fraction
     alpha: tuple
     beta: tuple
@@ -185,21 +185,17 @@ def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
     )
 
 
-def breve_coeffs(stage: ChainStage) -> ChainStage:
-    """Rescale the weight by 2L/pi: only the mass changes, to L(L+2) exactly."""
-    if stage.stage != "tilde":
-        raise ValueError(f"expected the tilde stage, got {stage.stage!r}")
-    L = stage.L
-    beta = (L * (L + 2),) + stage.beta[1:]
-    return ChainStage(stage="breve", L=L, alpha=stage.alpha, beta=beta)
+def _positive(beta: Iterable[Pair]) -> None:
+    """Reject the beta pairs (denominators > 0) of a functional that is not positive-definite."""
+    if any(b <= 0 for b, _ in beta):
+        raise ValueError("all beta must be positive for a positive-definite functional")
 
 
 def _divide_by_x(
     seed: Pair, alpha: Sequence[Pair], beta: Sequence[Pair]
 ) -> tuple[list[Pair], list[Pair], list[Pair]]:
     """Gautschi's division of the weight by x, on reduced int pairs
-    (numerator, denominator > 0): the kernel of gautschi_divide, chain_coeffs
-    and the product route.
+    (numerator, denominator > 0): the kernel of chain_pairs.
 
     seed is r_{-1}, and alpha, beta hold alpha'_n, beta'_n of the weight
     before the division. Each step forms x_n = beta'_n / r_{n-1}, then
@@ -224,40 +220,8 @@ def _divide_by_x(
         u, v = un, vn
         r.append((u, v))
     new_beta.pop()  # beta_m is past the requested depth
-    if any(b <= 0 for b, _ in new_beta):
-        raise ValueError("all beta must be positive for a positive-definite functional")
+    _positive(new_beta)
     return new_alpha, new_beta, r
-
-
-def gautschi_divide(stage: ChainStage) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
-    """Divide the weight by x: final coefficients and the ratios (r_{-1}, r_0, ...).
-
-    r_{-1} = -(L+1) (minus the mass of the divided weight), then
-    r_n = -(alpha'_n + beta'_n / r_{n-1}). The outputs are
-    alpha_0 = alpha'_0 + r_0, alpha_k = alpha'_k + r_k - r_{k-1},
-    beta_0 = -r_{-1}, beta_k = beta'_{k-1} r_{k-1} / r_{k-2}.
-    """
-    if stage.stage != "breve":
-        raise ValueError(f"expected the breve stage, got {stage.stage!r}")
-    seed = -(stage.L + 1)
-    return _as_fractions(
-        _divide_by_x(
-            (seed.numerator, seed.denominator),
-            [(a.numerator, a.denominator) for a in stage.alpha],
-            [(b.numerator, b.denominator) for b in stage.beta],
-        )
-    )
-
-
-def _as_fractions(
-    chain: tuple[list[Pair], list[Pair], list[Pair]]
-) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
-    """The kernel's alpha, beta and r pairs as the Fractions callers read."""
-    alpha, beta, r = chain
-    coeffs = RecurrenceCoeffs(
-        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
-    )
-    return coeffs, tuple(Fraction(*x) for x in r)
 
 
 def chain_pairs(L: RationalLike, n_max: int) -> tuple[list[Pair], list[Pair], list[Pair]]:
@@ -271,8 +235,19 @@ def chain_pairs(L: RationalLike, n_max: int) -> tuple[list[Pair], list[Pair], li
 
 
 def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[Fraction, ...]]:
-    """Run the exact part of the chain end to end: tilde -> breve -> divide by x."""
-    return _as_fractions(chain_pairs(L, n_max))
+    """The exact chain end to end (tilde -> breve -> divide by x) as Fractions:
+    the final coefficients and the ratios (r_{-1}, r_0, ...).
+
+    r_{-1} = -(L+1) (minus the mass of the divided weight), then
+    r_n = -(alpha'_n + beta'_n / r_{n-1}). The outputs are
+    alpha_0 = alpha'_0 + r_0, alpha_k = alpha'_k + r_k - r_{k-1},
+    beta_0 = -r_{-1}, beta_k = beta'_{k-1} r_{k-1} / r_{k-2}.
+    """
+    alpha, beta, r = chain_pairs(L, n_max)
+    coeffs = RecurrenceCoeffs(
+        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
+    )
+    return coeffs, tuple(Fraction(*x) for x in r)
 
 
 def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -367,16 +342,15 @@ def _chebyshev(moments: Sequence[int], n_max: int) -> tuple[list[Pair], list[Pai
     return alpha, beta, norms
 
 
-def _undilated(
-    alpha: Iterable[Pair], beta: Iterable[Pair], s: int, t: int
-) -> tuple[list[Pair], list[Pair]]:
-    """alpha_k and beta_k of U from those of the dilated functional
-    U'[x^l] = s U[(t x)^l], whose moments are the integers of
-    sequences.integer_window: alpha_k = alpha'_k / t, beta_0 = beta'_0 / s and
-    beta_k = beta'_k / t^2 for k >= 1, all as reduced pairs."""
-    t2 = t * t
+def _moment_pairs(ints: Sequence[int], s: int, t: int, n_max: int) -> tuple[list[Pair], list[Pair]]:
+    """alpha_k and beta_k, k < n_max, of U as positive-checked reduced pairs,
+    from the Chebyshev pass on the moments ints[l] = s t^l U[x^l] of the
+    dilated functional U'[x^l] = s U[(t x)^l] (sequences.integer_window),
+    unscaled: alpha_k = alpha'_k / t, beta_0 = beta'_0 / s, beta_k = beta'_k / t^2."""
+    alpha, beta, _ = _chebyshev(ints, n_max)
     alpha = [_mul(a, b, 1, t) for a, b in alpha]
-    beta = [_mul(c, d, 1, t2 if k else s) for k, (c, d) in enumerate(beta)]
+    beta = [_mul(c, d, 1, t * t if k else s) for k, (c, d) in enumerate(beta)]
+    _positive(beta)
     return alpha, beta
 
 
@@ -387,27 +361,22 @@ def window_pairs(L: RationalLike, n_max: int) -> tuple[list[Pair], list[Pair]]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
-    alpha, beta, _ = _chebyshev(scaled_terms(Lf, max(2 * n_max - 1, 0)), n_max)
-    alpha, beta = _undilated(alpha, beta, Lf.denominator, Lf.denominator)
-    if any(b <= 0 for b, _ in beta):
-        raise ValueError("all beta must be positive for a positive-definite functional")
-    return alpha, beta
+    q = Lf.denominator
+    return _moment_pairs(scaled_terms(Lf, max(2 * n_max - 1, 0)), q, q, n_max)
 
 
 def stieltjes_from_moments(seq: Window, n_max: int) -> RecurrenceCoeffs:
     """Recurrence coefficients straight from the moments a_0 .. a_{2 n_max - 1},
     exactly, in O(n^2) integer operations: the Chebyshev algorithm (see
     _chebyshev) on the integers s t^l a_l of sequences.integer_window, its
-    coefficients unscaled afterwards (_undilated).
+    coefficients unscaled afterwards (_moment_pairs).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-    ints, s, t = integer_window(moments[: 2 * n_max])
-    alpha, beta, _ = _chebyshev(ints, n_max)
-    alpha, beta = _undilated(alpha, beta, s, t)
+    alpha, beta = _moment_pairs(*integer_window(moments[: 2 * n_max]), n_max)
     return RecurrenceCoeffs(
         alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
     )

@@ -368,6 +368,16 @@ def test_bad_input_exits_one_with_a_message(capsys, argv):
     assert captured.err.startswith("hankel-catalan: error: ")
 
 
+def test_quad_without_numpy_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    assert main(["quad", "--L", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "numpy" in captured.err and "[quad]" in captured.err
+    assert "Traceback" not in captured.err
+
+
 _NUMBER = st.integers(-3, 15).map(str)
 _L = st.one_of(
     st.integers(-2, 12).map(str),

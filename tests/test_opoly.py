@@ -19,13 +19,10 @@ from hankel_catalan.hankel import (
     surd_states,
 )
 from hankel_catalan.opoly import (
-    ChainStage,
     DivisionByZeroR,
     RecurrenceCoeffs,
-    breve_coeffs,
     chain_coeffs,
     chain_products,
-    gautschi_divide,
     h_from_products,
     hat_stage,
     jfraction_series,
@@ -90,22 +87,26 @@ def test_tilde_consistent_with_float_hat_stage(L):
 
 
 def test_breve_rescaling():
+    # The chain divides the breve weight by x. Undoing the division from its
+    # output (r[i] = r_{i-1}) gives back the weight it divided: tilde's with
+    # only the mass rescaled by 2L/pi, to L(L+2) = 24.
     stage = tilde_coeffs(4, 4)
-    breve = breve_coeffs(stage)
-    assert breve.beta[0] == 24
-    assert breve.alpha == stage.alpha
-    assert breve.beta[1:] == stage.beta[1:]
-    with pytest.raises(ValueError):
-        breve_coeffs(breve)
+    coeffs, r = chain_coeffs(4, 4)
+    alpha = [a - r[k + 1] + (r[k] if k else 0) for k, a in enumerate(coeffs.alpha)]
+    beta = [coeffs.beta[k] * r[k - 1] / r[k] for k in range(1, 4)]
+    assert beta[0] == 24
+    assert tuple(alpha) == stage.alpha
+    assert beta[1:] == list(stage.beta[1:3])
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
 def test_breve_product_telescopes(L):
-    breve = breve_coeffs(tilde_coeffs(L, 12))
+    tilde = tilde_coeffs(L, 12)
+    breve_beta = (L * (L + 2), *tilde.beta[1:])
     psihat = [s.psihat for s in surd_states(L, 13)]
     product = Fraction(1)
     for n in range(1, 13):
-        product *= breve.beta[n - 1]
+        product *= breve_beta[n - 1]
         assert product == Fraction(L) ** n / 2 * psihat[n + 1] / psihat[n]
 
 
@@ -119,11 +120,6 @@ def test_gautschi_golden_l4():
     )
     assert coeffs.alpha == (Fraction(24, 5), Fraction(323, 65), Fraction(1104, 221))
     assert coeffs.beta == (Fraction(5), Fraction(104, 25), Fraction(680, 169))
-
-
-def test_gautschi_requires_breve_stage():
-    with pytest.raises(ValueError):
-        gautschi_divide(tilde_coeffs(4, 3))
 
 
 @pytest.mark.parametrize("L", range(1, 9))
@@ -435,19 +431,20 @@ def test_integer_rows_match_the_fraction_pass_on_random_moments():
     assert outcomes == {RecurrenceCoeffs, ZeroLeadingMinor, ValueError}
 
 
-def fraction_divide(stage):
-    """Gautschi's division by x as a plain Fraction loop: the reference for
-    the int-pair kernel behind gautschi_divide, chain_coeffs and the product
+def fraction_divide(L, alpha_in, beta_in):
+    """Gautschi's division by x of the breve weight with coefficients
+    alpha_in, beta_in, as a plain Fraction loop from r_{-1} = -(L+1): the
+    reference for the int-pair kernel behind chain_coeffs and the product
     route."""
-    n_max = len(stage.alpha)
-    r = [-(stage.L + 1)]
+    n_max = len(alpha_in)
+    r = [-(L + 1)]
     for n in range(n_max):
-        r.append(-(stage.alpha[n] + stage.beta[n] / r[-1]))
-    alpha = [stage.alpha[0] + r[1]]
+        r.append(-(alpha_in[n] + beta_in[n] / r[-1]))
+    alpha = [alpha_in[0] + r[1]]
     beta = [-r[0]]
     for k in range(1, n_max):
-        alpha.append(stage.alpha[k] + r[k + 1] - r[k])
-        beta.append(stage.beta[k - 1] * r[k] / r[k - 1])
+        alpha.append(alpha_in[k] + r[k + 1] - r[k])
+        beta.append(beta_in[k - 1] * r[k] / r[k - 1])
     return alpha, beta, r
 
 
@@ -463,13 +460,12 @@ RATIONAL_L = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4))
 @example(L=Fraction(37, 91), n_max=40)
 @example(L=Fraction(1), n_max=40)
 def test_chain_kernel_matches_the_fraction_loop(L, n_max):
-    breve = breve_coeffs(tilde_coeffs(L, n_max))
-    alpha, beta, r = fraction_divide(breve)
+    tilde = tilde_coeffs(L, n_max)
+    alpha, beta, r = fraction_divide(L, tilde.alpha, (L * (L + 2), *tilde.beta[1:]))
     coeffs, ratios = chain_coeffs(L, n_max)
     assert list(coeffs.alpha) == alpha
     assert list(coeffs.beta) == beta
     assert list(ratios) == r
-    assert gautschi_divide(breve) == (coeffs, ratios)
     # the kernel's pairs are what it claims: lowest terms, positive denominators
     assert all(map(reduced, opoly.chain_pairs(L, n_max)))
     assert all(map(reduced, opoly._tilde_pairs(L, n_max)))
@@ -501,24 +497,18 @@ def test_chebyshev_pass_pairs_are_reduced(L):
 
 def test_division_by_a_zero_ratio_raises():
     # r_{-1} = -2 and r_0 = -(1 + 2 / r_{-1}) = 0
-    stage = ChainStage(
-        stage="breve", L=Fraction(1), alpha=(Fraction(1), Fraction(1)), beta=(Fraction(2), Fraction(1))
-    )
     with pytest.raises(DivisionByZeroR, match=r"r_0 = 0"):
-        gautschi_divide(stage)
-    seed_zero = ChainStage(stage="breve", L=Fraction(-1), alpha=(Fraction(1),), beta=(Fraction(2),))
+        opoly._divide_by_x((-2, 1), [(1, 1), (1, 1)], [(2, 1), (1, 1)])
+    # L = -1 gives r_{-1} = -(L+1) = 0
     with pytest.raises(DivisionByZeroR):
-        gautschi_divide(seed_zero)
+        opoly._divide_by_x((0, 1), [(1, 1)], [(2, 1)])
 
 
 def test_a_nonpositive_beta_raises_on_every_chain_path(monkeypatch):
     # r_{-1} = -2, r_0 = -(0 + 2 / -2) = 1, so beta_1 = 2 * 1 / -2 = -1
-    stage = ChainStage(
-        stage="breve", L=Fraction(1), alpha=(Fraction(0), Fraction(0)), beta=(Fraction(2), Fraction(1))
-    )
-    assert fraction_divide(stage)[1] == [2, -1]
+    assert fraction_divide(Fraction(1), (0, 0), (2, 1))[1] == [2, -1]
     with pytest.raises(ValueError, match="all beta must be positive"):
-        gautschi_divide(stage)
+        opoly._divide_by_x((-2, 1), [(0, 1), (0, 1)], [(2, 1), (1, 1)])
     # the product route reads the same kernel: L = 1 gives r_{-1} = -2 and
     # the breve mass L(L+2) = 3, so alpha~_0 = -3/2 makes beta_1 negative
     monkeypatch.setattr(opoly, "_tilde_pairs", lambda L, n_max: ([(-3, 2), (0, 1)], [(1, 1)]))
