@@ -68,8 +68,6 @@ from .series import (
 from .verify import VerificationReport, verify_cell, verify_grid, verify_row
 from .weight import (
     DomainError,
-    QuadratureConfig,
-    WeightSpec,
     moment_quadrature,
     moment_quadratures,
     orthogonality_check,

@@ -24,7 +24,7 @@ from .hankel import odd_fibonacci
 from .opoly import Pair, chain_pairs, window_pairs
 from .sequences import a_sequence
 from .verify import ROUTES, VerificationReport, verify_grid, verify_row
-from .weight import QuadratureConfig, WeightSpec, moment_quadratures
+from .weight import moment_quadratures
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -246,13 +246,12 @@ def cmd_series(args, result: CommandResult) -> None:
         result.status = "error"
         result.summary["error"] = str(exc)
         return
-    result.rows = [
-        {"k": k, "coeff": str(series.coefficient(k))} for k in range(terms)
-    ]
+    values = series.coefficients(0, order)
+    result.rows = [{"k": k, "coeff": str(value)} for k, value in enumerate(values)]
     if args.which == "G":
         result.summary["pole_coefficient"] = "0"
     if lo is not None:
-        if series.coefficients(lo, order) != list(a_sequence(args.L, order).terms[: terms - lo]):
+        if values[lo:] != list(a_sequence(args.L, order).terms[: terms - lo]):
             result.mismatch({"detail": "coefficients differ from the sequence"})
 
 
@@ -263,21 +262,16 @@ def cmd_quad(args, result: CommandResult) -> None:
         raise UsageError("--nodes must be at least 16")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("--tol must be finite and positive")
-    try:
-        import numpy  # noqa: F401  # the quadrature's only dependency
-    except ImportError:
-        raise UsageError("quad needs numpy: pip install 'hankel-catalan[quad]'") from None
     window = a_sequence(args.L, args.moments)
     try:
-        spec = WeightSpec.for_parameter(float(args.L))
         exact = [float(term) for term in window.terms]
-        # the nodes lie below hi, so x^n on them overflows no sooner than hi^n
-        math.pow(spec.support_hi, args.moments)
-    except (OverflowError, ValueError):  # ValueError: float(L) underflowed to 0
+        quad = moment_quadratures(args.L, args.moments, args.nodes)
+    except ModuleNotFoundError as exc:
+        raise UsageError(str(exc)) from None
+    except (OverflowError, ValueError):  # ValueError: float(L) is below the normal range
         raise UsageError(f"--L {args.L} --moments {args.moments} leaves the float64 range")
-    cfg = QuadratureConfig(node_count=args.nodes)
     worst = 0.0
-    for n, approx in enumerate(moment_quadratures(spec, args.moments, cfg)):
+    for n, approx in enumerate(quad):
         rel_err = abs(approx - exact[n]) / exact[n]
         worst = max(worst, rel_err)
         result.rows.append(

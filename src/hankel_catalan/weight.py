@@ -17,7 +17,8 @@ the weight, not rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from .opoly import chain_coeffs
@@ -31,44 +32,38 @@ class DomainError(ValueError):
     """The weight is undefined at x = 0 (reachable only for L = 1)."""
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight parameter and its support endpoints."""
-
-    L: float
-    support_lo: float
-    support_hi: float
-
-    @classmethod
-    def for_parameter(cls, L: float) -> "WeightSpec":
-        if L <= 0:
-            raise ValueError(f"parameter L must be positive, got {L}")
-        root = math.sqrt(L)
-        return cls(L=float(L), support_lo=(root - 1) ** 2, support_hi=(root + 1) ** 2)
+def _numpy():
+    """numpy, the quadrature's only dependency, or the one error that names its extra."""
+    try:
+        import numpy
+    except ImportError:
+        raise ModuleNotFoundError("quad needs numpy: pip install 'hankel-catalan[quad]'") from None
+    return numpy
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    node_count: int = 4000
+def _support(L: Real) -> tuple[float, float, float]:
+    """float(L) and the weight's support (lo, hi); L must be a normal positive float64."""
+    L = float(L)  # OverflowError past the range
+    if not sys.float_info.min <= L <= sys.float_info.max:  # a subnormal L keeps too few bits
+        raise ValueError(f"parameter L must be a positive normal float64, got {L}")
+    root = math.sqrt(L)
+    return L, (root - 1) ** 2, (root + 1) ** 2
 
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError("node_count must be at least 16")
 
-
-def weight_eval(x: float, spec: WeightSpec) -> float:
+def weight_eval(x: float, L: Real) -> float:
     """Pointwise weight value; exactly 0 outside the open support."""
+    L, lo, hi = _support(L)
     if x == 0.0:
         raise DomainError("weight undefined at x = 0")
-    if not spec.support_lo < x < spec.support_hi:
+    if not lo < x < hi:
         return 0.0
-    radicand = 4.0 * spec.L - (x - spec.L - 1.0) ** 2
+    radicand = 4.0 * L - (x - L - 1.0) ** 2
     if radicand <= 0.0:
         return 0.0
     return (1.0 + 1.0 / x) * math.sqrt(radicand) / (2.0 * math.pi)
 
 
-def _substituted(spec: WeightSpec, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+def _substituted(L: Real, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissae and combined quadrature factors for integrals against the measure.
 
     integral f(x) w(x) dx = (2L/pi) integral_0^pi f(x(theta)) (1 + 1/x) sin^2(theta) dtheta,
@@ -76,34 +71,38 @@ def _substituted(spec: WeightSpec, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     integral is the midpoint rule on (0, pi), an open rule, so x = 0 is
     never sampled.
     """
-    import numpy as np
-
-    n = cfg.node_count
-    step = math.pi / n
-    theta = (np.arange(n) + 0.5) * step
-    x = spec.L + 1.0 + 2.0 * math.sqrt(spec.L) * np.cos(theta)
-    w = step * ((2.0 * spec.L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2)
-    if spec.L < 1.0:
-        return np.append(x, 0.0), np.append(w, 1.0 - spec.L)
+    L = _support(L)[0]
+    if nodes < 16:
+        raise ValueError("nodes must be at least 16")
+    np = _numpy()
+    step = math.pi / nodes
+    theta = (np.arange(nodes) + 0.5) * step
+    x = L + 1.0 + 2.0 * math.sqrt(L) * np.cos(theta)
+    w = step * ((2.0 * L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2)
+    if L < 1.0:
+        return np.append(x, 0.0), np.append(w, 1.0 - L)
     return x, w
 
 
-def moment_quadratures(spec: WeightSpec, n_max: int, cfg: QuadratureConfig) -> list[float]:
+def moment_quadratures(L: Real, n_max: int, nodes: int) -> list[float]:
     """Approximate moments 0 .. n_max of the measure from one set of nodes."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    x, w = _substituted(spec, cfg)
+    L, _, hi = _support(L)
+    # the nodes lie below hi, so x^n on them overflows no sooner than this OverflowError
+    math.pow(hi, n_max)
+    x, w = _substituted(L, nodes)
     # Moment 0's 1/x part, whose peak the rule misses near L = 1, and the atom sum to
     # min(1, L) + (1 - L)_+ = 1 exactly; w x / (1 + x) is the sin^2 part alone, and x = 0 drops out.
     return [float(w @ (x / (1.0 + x))) + 1.0] + [float(w @ x**n) for n in range(1, n_max + 1)]
 
 
-def moment_quadrature(spec: WeightSpec, n: int, cfg: QuadratureConfig) -> float:
+def moment_quadrature(L: Real, n: int, nodes: int) -> float:
     """Approximate the n-th moment of the measure."""
-    return moment_quadratures(spec, n, cfg)[-1]
+    return moment_quadratures(L, n, nodes)[-1]
 
 
-def orthogonality_check(L: RationalLike, n_max: int, cfg: QuadratureConfig) -> float:
+def orthogonality_check(L: RationalLike, n_max: int, nodes: int) -> float:
     """Largest normalized off-diagonal inner product among Q_0 .. Q_{n_max}.
 
     The polynomials come from the exact chain coefficients and are evaluated
@@ -112,12 +111,10 @@ def orthogonality_check(L: RationalLike, n_max: int, cfg: QuadratureConfig) -> f
     pair integral is divided by the product of the quadrature norms, so the
     result is a dimensionless residual that should sit at quadrature noise.
     """
-    import numpy as np
-
-    Lf = as_rational(L)
-    coeffs, _ = chain_coeffs(Lf, max(n_max, 1))
-    spec = WeightSpec.for_parameter(float(Lf))
-    x, w = _substituted(spec, cfg)
+    L = as_rational(L)
+    x, w = _substituted(L, nodes)
+    np = _numpy()
+    coeffs, _ = chain_coeffs(L, max(n_max, 1))
     values = np.empty((n_max + 1, x.size))
     values[0] = 1.0
     for k in range(n_max):

@@ -26,7 +26,7 @@ from hankel_catalan.opoly import (
 from hankel_catalan.sequences import a_sequence, gen_catalan
 from hankel_catalan.series import TruncatedSeries
 from hankel_catalan.verify import verify_grid
-from hankel_catalan.weight import QuadratureConfig, WeightSpec, moment_quadrature, orthogonality_check
+from hankel_catalan.weight import moment_quadrature, orthogonality_check
 
 
 def _verdict(name, ok):
@@ -134,16 +134,14 @@ def test_criterion_5_product_identities_and_ratio_closed_form():
 
 def test_criterion_6_weight_moments_and_orthogonality():
     start = time.perf_counter()
-    cfg = QuadratureConfig(node_count=4000)
     ok = True
     for L in (1, 2, 3, 4):
-        spec = WeightSpec.for_parameter(float(L))
         window = a_sequence(L, 10)
         for n in range(11):
             exact = float(window.terms[n])
-            ok = ok and abs(moment_quadrature(spec, n, cfg) - exact) / exact < 1e-8
+            ok = ok and abs(moment_quadrature(L, n, 4000) - exact) / exact < 1e-8
     for L in (1, 2, 4):
-        ok = ok and orthogonality_check(L, 8, cfg) < 1e-7
+        ok = ok and orthogonality_check(L, 8, 4000) < 1e-7
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     _verdict(f"6. weight moments (rel 1e-8) and orthogonality residuals (1e-7) ({elapsed:.2f}s)", ok)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,6 @@ from hankel_catalan.opoly import chain_coeffs
 from hankel_catalan.sequences import a_sequence
 from hankel_catalan.weight import (
     DomainError,
-    QuadratureConfig,
-    WeightSpec,
     moment_quadrature,
     moment_quadratures,
     orthogonality_check,
@@ -18,46 +17,38 @@ from hankel_catalan.weight import (
 
 
 def test_support_endpoints():
-    spec = WeightSpec.for_parameter(4.0)
-    assert spec.support_lo == 1.0
-    assert spec.support_hi == 9.0
-    spec1 = WeightSpec.for_parameter(1.0)
-    assert spec1.support_lo == 0.0
-    assert spec1.support_hi == 4.0
-    with pytest.raises(ValueError):
-        WeightSpec.for_parameter(-2.0)
+    assert weight._support(4.0) == (4.0, 1.0, 9.0)
+    assert weight._support(1.0) == (1.0, 0.0, 4.0)
+    for L in (-2.0, 1e-320, float("inf")):  # a subnormal L keeps too few bits to check
+        with pytest.raises(ValueError):
+            weight._support(L)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(node_count=8)
+        moment_quadratures(2, 4, 8)
 
 
 def test_weight_midpoint_value():
     L = 4.0
-    spec = WeightSpec.for_parameter(L)
     expected = (1 + 1 / (L + 1)) * 2 * math.sqrt(L) / (2 * math.pi)
-    assert weight_eval(L + 1, spec) == pytest.approx(expected, rel=1e-15)
+    assert weight_eval(L + 1, L) == pytest.approx(expected, rel=1e-15)
 
 
 def test_weight_vanishes_outside_open_support():
-    spec = WeightSpec.for_parameter(4.0)
-    assert weight_eval(0.5, spec) == 0.0
-    assert weight_eval(9.5, spec) == 0.0
-    assert weight_eval(spec.support_lo, spec) == 0.0
-    assert weight_eval(spec.support_hi, spec) == 0.0
+    assert weight_eval(0.5, 4) == 0.0
+    assert weight_eval(9.5, 4) == 0.0
+    assert weight_eval(1.0, 4) == 0.0
+    assert weight_eval(9.0, 4) == 0.0
 
 
 def test_weight_rejects_origin():
-    spec = WeightSpec.for_parameter(1.0)
     with pytest.raises(DomainError):
-        weight_eval(0.0, spec)
+        weight_eval(0.0, 1.0)
 
 
 def test_total_mass():
-    spec = WeightSpec.for_parameter(4.0)
-    cfg = QuadratureConfig(node_count=2000)
-    assert abs(moment_quadrature(spec, 0, cfg) - 5.0) < 1e-10
+    assert abs(moment_quadrature(4.0, 0, 2000) - 5.0) < 1e-10
 
 
 #: Below 1 the measure carries the atom (1 - L) delta_0 besides the weight.
@@ -66,17 +57,15 @@ BELOW_ONE = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4] + BELOW_ONE, ids=str)
 def test_moments_match_sequence(L):
-    spec = WeightSpec.for_parameter(float(L))
-    cfg = QuadratureConfig(node_count=4000)
     window = a_sequence(L, 10)
     for n in range(11):
         exact = float(window.terms[n])
-        assert abs(moment_quadrature(spec, n, cfg) - exact) / exact < 1e-8
+        assert abs(moment_quadrature(L, n, 4000) - exact) / exact < 1e-8
 
 
 def inverse_x_part(L, nodes):
     """The rule's integral of the weight's 1/x part, the theta nodes' sum of w / (1 + x)."""
-    x, w = weight._substituted(WeightSpec.for_parameter(float(L)), QuadratureConfig(node_count=nodes))
+    x, w = weight._substituted(L, nodes)
     return float(w[:nodes] @ (1.0 / (1.0 + x[:nodes])))
 
 
@@ -93,19 +82,18 @@ def test_refinement_reduces_error_until_noise():
 
 @pytest.mark.parametrize("L", [1, 2, 4] + BELOW_ONE, ids=str)
 def test_orthogonality_residuals(L):
-    cfg = QuadratureConfig(node_count=4000)
-    assert orthogonality_check(L, 8, cfg) < 1e-7
+    assert orthogonality_check(L, 8, 4000) < 1e-7
 
 
 @pytest.mark.parametrize("L", [2, 8])
 def test_orthogonality_holds_at_high_degree(L):
     # at degree 20 monomial coefficients lose their digits to cancellation; the recurrence does not
-    assert orthogonality_check(L, 20, QuadratureConfig(node_count=4000)) < 1e-10
+    assert orthogonality_check(L, 20, 4000) < 1e-10
 
 
 def test_orthogonality_scales_down_with_nodes():
-    coarse = orthogonality_check(2, 5, QuadratureConfig(node_count=16))
-    fine = orthogonality_check(2, 5, QuadratureConfig(node_count=1024))
+    coarse = orthogonality_check(2, 5, 16)
+    fine = orthogonality_check(2, 5, 1024)
     assert fine <= coarse + 1e-15
 
 
@@ -123,13 +111,17 @@ def test_diagonal_norm_quadrature():
     for i, a in enumerate(q2):
         for j, b in enumerate(q2):
             square[i + j] += a * b
-    spec = WeightSpec.for_parameter(4.0)
-    cfg = QuadratureConfig(node_count=4000)
-    moments = moment_quadratures(spec, len(square) - 1, cfg)
+    moments = moment_quadratures(4.0, len(square) - 1, 4000)
     value = sum(float(c) * m for c, m in zip(square, moments))
     assert abs(value - 1088 / 13) / (1088 / 13) < 1e-8
 
 
 def test_first_pair_residual():
-    cfg = QuadratureConfig(node_count=2000)
-    assert orthogonality_check(4, 1, cfg) < 1e-9
+    assert orthogonality_check(4, 1, 2000) < 1e-9
+
+
+@pytest.mark.parametrize("quadrature", [moment_quadratures, moment_quadrature, orthogonality_check])
+def test_without_numpy_the_quadrature_names_its_extra(monkeypatch, quadrature):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    with pytest.raises(ModuleNotFoundError, match=r"\[quad\]"):
+        quadrature(2, 4, 4000)
