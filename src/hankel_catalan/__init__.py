@@ -35,7 +35,6 @@ from .hankel import (
     surd_states,
 )
 from .opoly import (
-    ChainStage,
     DivisionByZeroR,
     RecurrenceCoeffs,
     chain_coeffs,

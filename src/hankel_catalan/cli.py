@@ -268,7 +268,7 @@ def cmd_quad(args, result: CommandResult) -> None:
         quad = moment_quadratures(args.L, args.moments, args.nodes)
     except ModuleNotFoundError as exc:
         raise UsageError(str(exc)) from None
-    except (OverflowError, ValueError):  # ValueError: float(L) is below the normal range
+    except (OverflowError, ValueError):  # ValueError: float(L) is subnormal or past max/2
         raise UsageError(f"--L {args.L} --moments {args.moments} leaves the float64 range")
     worst = 0.0
     for n, approx in enumerate(quad):

@@ -14,7 +14,9 @@ coefficients (alpha_k, beta_k):
 The chain enters exact rational arithmetic at the "tilde" stage, where every
 coefficient is a ratio of the integer carriers psihat/sigma; the two earlier
 stages involve pi and sqrt(L) and are kept in float64 purely as a
-cross-check. Products of the chain's betas reconstruct the Hankel
+cross-check. RecurrenceCoeffs is the one coefficient record: the hat and
+tilde stages, the chain's output and the moments' coefficients all come in
+it. Products of the chain's betas reconstruct the Hankel
 determinants (the `product` route). The norms U[Q_k^2] of the Chebyshev
 algorithm are the diagonal of the Hankel matrix's LDL^T factorization, and
 their products give the determinants too (the `det` route, on the integer
@@ -53,36 +55,37 @@ class DivisionByZeroR(ZeroDivisionError):
     """An auxiliary ratio r_n hit zero; the functional lost positive-definiteness."""
 
 
+def _positive(beta: Iterable) -> None:
+    """Reject betas that are not all positive, given as values or as the
+    numerators of pairs over positive denominators."""
+    if any(b <= 0 for b in beta):
+        raise ValueError("all beta must be positive for a positive-definite functional")
+
+
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """Monic three-term recurrence data: Q_{n+1} = (x - alpha_n) Q_n - beta_n Q_{n-1}.
 
-    beta[0] is the total mass of the functional (= a_0).
+    The one coefficient record, at every stage of the chain and from the
+    moments: Fractions, except that hat_stage holds float64. A depth of
+    n_max gives n_max of each. beta[0] is the total mass of the functional
+    (= a_0 for the sequence's own; tilde_coeffs keeps it divided by pi).
     """
 
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
+    alpha: tuple
+    beta: tuple
 
     def __post_init__(self):
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have equal length")
-        if any(b <= 0 for b in self.beta):
-            raise ValueError("all beta must be positive for a positive-definite functional")
+        _positive(self.beta)
 
 
-@dataclass(frozen=True)
-class ChainStage:
-    """Coefficients at one stage of the weight-modification chain.
-
-    For the exact stages the lists hold Fractions; the hat stage holds
-    float64. At the tilde stage beta[0] stores the rational factor of a
-    value beta[0] * pi.
-    """
-
-    stage: str  # "hat" | "tilde"
-    L: Fraction
-    alpha: tuple
-    beta: tuple
+def _coeffs(alpha: Iterable[Pair], beta: Iterable[Pair]) -> RecurrenceCoeffs:
+    """The RecurrenceCoeffs of alpha and beta given as int pairs."""
+    return RecurrenceCoeffs(
+        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
+    )
 
 
 def lambda_closed(L: float, n: int) -> float:
@@ -100,7 +103,7 @@ def lambda_closed(L: float, n: int) -> float:
     return sign * float(psihat) / (2.0 * 4.0**n * float(L) ** (n / 2))
 
 
-def hat_stage(L: float, n_max: int) -> ChainStage:
+def hat_stage(L: float, n_max: int) -> RecurrenceCoeffs:
     """Float64 coefficients after multiplying the Chebyshev weight by (x - c).
 
     beta[0] is the total mass of (x - c) sqrt(1 - x^2), namely -c*pi/2.
@@ -109,14 +112,12 @@ def hat_stage(L: float, n_max: int) -> ChainStage:
     """
     c = -(L + 2) / (2.0 * math.sqrt(L))
     lam = [lambda_closed(L, n) for n in range(-1, n_max + 2)]  # lam[i] = lambda_{i-1}
-    alpha = []
-    beta = [-c * math.pi / 2.0]
+    alpha, beta = [], []
     for n in range(n_max):
         l_prev, l_n, l_next = lam[n], lam[n + 1], lam[n + 2]
         alpha.append(c - l_next / l_n - 0.25 * l_n / l_next)
-        if n >= 1:
-            beta.append(0.25 * l_prev * l_next / (l_n * l_n))
-    return ChainStage(stage="hat", L=as_rational(L), alpha=tuple(alpha), beta=tuple(beta))
+        beta.append(0.25 * l_prev * l_next / (l_n * l_n) if n else -c * math.pi / 2.0)
+    return RecurrenceCoeffs(alpha=tuple(alpha), beta=tuple(beta))
 
 
 def _reduced(num: int, den: int) -> Pair:
@@ -162,7 +163,7 @@ def _tilde_pairs(L: Fraction, n_max: int) -> tuple[list[Pair], list[Pair]]:
     return alpha, beta
 
 
-def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
+def tilde_coeffs(L: RationalLike, n_max: int) -> RecurrenceCoeffs:
     """Exact coefficients after mapping the support onto ((sqrt L - 1)^2, (sqrt L + 1)^2).
 
     alpha_n = -1 + psihat_{n+2}/(2 psihat_{n+1}) + 2L psihat_{n+1}/psihat_{n+2};
@@ -177,18 +178,8 @@ def tilde_coeffs(L: RationalLike, n_max: int) -> ChainStage:
     """
     Lf = as_rational(L)
     alpha, beta = _tilde_pairs(Lf, n_max)
-    return ChainStage(
-        stage="tilde",
-        L=Lf,
-        alpha=tuple(Fraction(*a) for a in alpha),
-        beta=((Lf + 2) / 2, *(Fraction(*b) for b in beta)),
-    )
-
-
-def _positive(beta: Iterable[Pair]) -> None:
-    """Reject the beta pairs (denominators > 0) of a functional that is not positive-definite."""
-    if any(b <= 0 for b, _ in beta):
-        raise ValueError("all beta must be positive for a positive-definite functional")
+    p, q = Lf.numerator, Lf.denominator
+    return _coeffs(alpha, [(p + 2 * q, 2 * q), *beta][:n_max])
 
 
 def _divide_by_x(
@@ -220,7 +211,7 @@ def _divide_by_x(
         u, v = un, vn
         r.append((u, v))
     new_beta.pop()  # beta_m is past the requested depth
-    _positive(new_beta)
+    _positive(b for b, _ in new_beta)
     return new_alpha, new_beta, r
 
 
@@ -244,10 +235,7 @@ def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[F
     beta_0 = -r_{-1}, beta_k = beta'_{k-1} r_{k-1} / r_{k-2}.
     """
     alpha, beta, r = chain_pairs(L, n_max)
-    coeffs = RecurrenceCoeffs(
-        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
-    )
-    return coeffs, tuple(Fraction(*x) for x in r)
+    return _coeffs(alpha, beta), tuple(Fraction(*x) for x in r)
 
 
 def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -350,7 +338,7 @@ def _moment_pairs(ints: Sequence[int], s: int, t: int, n_max: int) -> tuple[list
     alpha, beta, _ = _chebyshev(ints, n_max)
     alpha = [_mul(a, b, 1, t) for a, b in alpha]
     beta = [_mul(c, d, 1, t * t if k else s) for k, (c, d) in enumerate(beta)]
-    _positive(beta)
+    _positive(b for b, _ in beta)
     return alpha, beta
 
 
@@ -376,10 +364,7 @@ def stieltjes_from_moments(seq: Window, n_max: int) -> RecurrenceCoeffs:
     moments = window_terms(seq)
     if len(moments) < 2 * n_max:
         raise InsufficientTerms(f"need a_0..a_{2 * n_max - 1}, window has {len(moments)} terms")
-    alpha, beta = _moment_pairs(*integer_window(moments[: 2 * n_max]), n_max)
-    return RecurrenceCoeffs(
-        alpha=tuple(Fraction(*a) for a in alpha), beta=tuple(Fraction(*b) for b in beta)
-    )
+    return _coeffs(*_moment_pairs(*integer_window(moments[: 2 * n_max]), n_max))
 
 
 def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:

@@ -42,10 +42,11 @@ def _numpy():
 
 
 def _support(L: Real) -> tuple[float, float, float]:
-    """float(L) and the weight's support (lo, hi); L must be a normal positive float64."""
+    """float(L) and the weight's support (lo, hi); L must be a normal positive
+    float64 no larger than half the float64 maximum, so that 2L stays finite."""
     L = float(L)  # OverflowError past the range
-    if not sys.float_info.min <= L <= sys.float_info.max:  # a subnormal L keeps too few bits
-        raise ValueError(f"parameter L must be a positive normal float64, got {L}")
+    if not sys.float_info.min <= L <= sys.float_info.max / 2:  # a subnormal L keeps too few bits
+        raise ValueError(f"parameter L must be a positive normal float64 at most max/2, got {L}")
     root = math.sqrt(L)
     return L, (root - 1) ** 2, (root + 1) ** 2
 

@@ -359,6 +359,7 @@ def test_quad_below_one_counts_the_atom_at_zero(capsys, L):
         ["quad", "--L", "1/2", "--tol", "nan"],
         ["quad", "--L", "2", "--tol", "-1"],
         ["quad", "--L", "1e-320"],
+        ["quad", "--L", "9e307", "--moments", "0"],
     ],
 )
 def test_bad_input_exits_one_with_a_message(capsys, argv):

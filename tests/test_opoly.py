@@ -297,6 +297,7 @@ def test_every_row_is_empty_at_size_zero(L):
     assert coeffs == RecurrenceCoeffs(alpha=(), beta=())
     assert r == (-(L + 1),)
     assert tilde_coeffs(L, 0).alpha == ()
+    assert tilde_coeffs(L, 0) == hat_stage(float(L), 0) == RecurrenceCoeffs(alpha=(), beta=())
 
 
 def test_h_from_products_values():
