@@ -67,9 +67,9 @@ from .series import (
 from .verify import VerificationReport, verify_cell, verify_grid, verify_row
 from .weight import (
     DomainError,
+    exact_moments,
     moment_quadrature,
     moment_quadratures,
-    orthogonality_check,
     weight_eval,
 )
 

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,6 +30,9 @@ from .weight import moment_quadratures
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
+
+#: Decimal arithmetic with room for any exponent: Fraction has no 'g' format before Python 3.12.
+_WIDE = Context(Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass
@@ -269,7 +273,10 @@ def cmd_quad(args, result: CommandResult) -> None:
     except ModuleNotFoundError as exc:
         raise UsageError(str(exc)) from None
     except (OverflowError, ValueError):  # ValueError: float(L) is subnormal or past max/2
-        raise UsageError(f"--L {args.L} --moments {args.moments} leaves the float64 range")
+        text = str(args.L)
+        if len(text) > 20:  # six digits, not the hundreds of a Fraction near the range's ends
+            text = f"{_WIDE.divide(args.L.numerator, args.L.denominator).normalize(_WIDE):.6g}"
+        raise UsageError(f"--L {text} --moments {args.moments} leaves the float64 range")
     worst = 0.0
     for n, approx in enumerate(quad):
         rel_err = abs(approx - exact[n]) / exact[n]

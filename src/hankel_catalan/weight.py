@@ -1,28 +1,25 @@
-"""Numerical validation of the weight function behind the moment functional.
+"""The weight behind the moment functional: its exact moments and a float64 quadrature.
 
 The derived weight is (1/2pi)(1 + 1/x) sqrt(4L - (x-L-1)^2) on the interval
 ((sqrt L - 1)^2, (sqrt L + 1)^2). For L >= 1 it is the whole measure; for
 L < 1 the weight's mass is only 2L against a_0 = L + 1, and the measure is
-the weight plus an atom (1-L) delta_0. This module checks, in float64, that
-the measure's moments really are a_n and that the final monic polynomials
-are orthogonal under it. Every integral over the weight is taken after the
-substitution x = L + 1 + 2 sqrt(L) cos(theta), which turns the integrand
-into a smooth (periodic) function of theta: the endpoint square-root
-singularities and the x^(-1/2) endpoint behaviour at L = 1 are absorbed
-exactly, so the midpoint rule converges spectrally. Exactness lives
-elsewhere; a mismatch here beyond tolerance signals a transcription error in
-the weight, not rounding.
+the weight plus an atom (1-L) delta_0. Its exact moments are a_n, so the
+chain's polynomials are orthogonal under it exactly. The float64 functions
+integrate after the substitution x = L + 1 + 2 sqrt(L) cos(theta), which
+turns the integrand into a smooth (periodic) function of theta: the endpoint
+square-root singularities and the x^(-1/2) endpoint behaviour at L = 1 are
+absorbed exactly, so the midpoint rule converges spectrally.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from numbers import Real
 from typing import TYPE_CHECKING
 
-from .opoly import chain_coeffs
-from .sequences import RationalLike, as_rational
+from .sequences import RationalLike, SequenceParams, as_rational
 
 if TYPE_CHECKING:  # numpy is imported where it is used, which keeps it out of start-up
     import numpy as np
@@ -30,6 +27,27 @@ if TYPE_CHECKING:  # numpy is imported where it is used, which keeps it out of s
 
 class DomainError(ValueError):
     """The weight is undefined at x = 0 (reachable only for L = 1)."""
+
+
+def exact_moments(L: RationalLike, n_max: int) -> list[Fraction]:
+    """Moments 0 .. n_max of the measure: moment n is mu_n + mu_(n-1), where the
+    weight's sin^2(theta) part gives mu_m = L sum_j C(m,2j) Cat_j (L+1)^(m-2j) L^j
+    (Coker's form of the Narayana polynomials) and its 1/x part with the atom
+    gives mu_(-1) = min(1, L) + (1-L)_+ = 1. For L = p/q the sum runs on the
+    integers q^(m+1) mu_m = p sum_j C(m,2j) Cat_j (p+q)^(m-2j) (pq)^j.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    L = SequenceParams(as_rational(L)).L  # ValueError unless L > 0
+    p, q = L.numerator, L.denominator
+    paths = [1]  # Cat_j (pq)^j
+    for j in range(n_max // 2):
+        paths.append(paths[j] * 2 * (2 * j + 1) * p * q // (j + 2))
+    scaled = [1] + [  # mu_(-1), then q^(m+1) mu_m
+        p * sum(math.comb(m, 2 * j) * paths[j] * (p + q) ** (m - 2 * j) for j in range(m // 2 + 1))
+        for m in range(n_max + 1)
+    ]
+    return [Fraction(q * scaled[n] + scaled[n + 1], q ** (n + 1)) for n in range(n_max + 1)]
 
 
 def _numpy():
@@ -101,29 +119,3 @@ def moment_quadratures(L: Real, n_max: int, nodes: int) -> list[float]:
 def moment_quadrature(L: Real, n: int, nodes: int) -> float:
     """Approximate the n-th moment of the measure."""
     return moment_quadratures(L, n, nodes)[-1]
-
-
-def orthogonality_check(L: RationalLike, n_max: int, nodes: int) -> float:
-    """Largest normalized off-diagonal inner product among Q_0 .. Q_{n_max}.
-
-    The polynomials come from the exact chain coefficients and are evaluated
-    on the nodes by their three-term recurrence in float64; monomial
-    coefficients would lose digits to cancellation as n grows. Each
-    pair integral is divided by the product of the quadrature norms, so the
-    result is a dimensionless residual that should sit at quadrature noise.
-    """
-    L = as_rational(L)
-    x, w = _substituted(L, nodes)
-    np = _numpy()
-    coeffs, _ = chain_coeffs(L, max(n_max, 1))
-    values = np.empty((n_max + 1, x.size))
-    values[0] = 1.0
-    for k in range(n_max):
-        # Q_{k+1} = (x - alpha_k) Q_k - beta_k Q_{k-1}, with Q_{-1} = 0
-        prev = values[k - 1] if k else 0.0
-        values[k + 1] = (x - float(coeffs.alpha[k])) * values[k] - float(coeffs.beta[k]) * prev
-    gram = (values * w) @ values.T
-    norms = np.sqrt(np.diag(gram))
-    residual = np.abs(gram) / np.outer(norms, norms)
-    np.fill_diagonal(residual, 0.0)
-    return float(residual.max())

@@ -368,6 +368,7 @@ def test_bad_input_exits_one_with_a_message(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("hankel-catalan: error: ")
+    assert len(captured.err) <= 100
 
 
 def test_quad_without_numpy_is_a_usage_error(monkeypatch, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hankel_catalan import sequences
 from hankel_catalan.sequences import (
+    InconsistentA0,
     SequenceParams,
     a_sequence,
     gen_catalan,
@@ -81,6 +83,14 @@ def test_positivity_and_integrality():
 def test_recurrence_window_matches_the_triangle(L):
     expected = [gen_catalan(n, L) + gen_catalan(n + 1, L) for n in range(61)]
     assert list(a_sequence(L, 60).terms) == expected
+
+
+def test_a_triangle_that_breaks_a_0_is_caught(monkeypatch):
+    # c(1) shifted by 1, so c(0) + c(1) is L + 2, not a_0 = L + 1
+    catalan = sequences.gen_catalan
+    monkeypatch.setattr(sequences, "gen_catalan", lambda n, L: catalan(n, L) + (n == 1))
+    with pytest.raises(InconsistentA0):
+        scaled_terms(2, 3)
 
 
 def test_rational_parameter_window():

@@ -9,9 +9,9 @@ from hankel_catalan.opoly import chain_coeffs
 from hankel_catalan.sequences import a_sequence
 from hankel_catalan.weight import (
     DomainError,
+    exact_moments,
     moment_quadrature,
     moment_quadratures,
-    orthogonality_check,
     weight_eval,
 )
 
@@ -71,30 +71,13 @@ def inverse_x_part(L, nodes):
 
 def test_refinement_reduces_error_until_noise():
     # the 1/x part is the one integrand that is no trigonometric polynomial in
-    # theta; orthogonality_check integrates it, moment 0 takes it exactly
+    # theta; moment 0 takes it exactly
     exact = 1.0
     floor = 1e-13
     errors = [max(abs(inverse_x_part(2, nodes) - exact), floor) for nodes in (16, 32, 64, 4000)]
     assert errors[1] <= errors[0]
     assert errors[2] <= errors[1]
     assert errors[3] <= errors[2]
-
-
-@pytest.mark.parametrize("L", [1, 2, 4] + BELOW_ONE, ids=str)
-def test_orthogonality_residuals(L):
-    assert orthogonality_check(L, 8, 4000) < 1e-7
-
-
-@pytest.mark.parametrize("L", [2, 8])
-def test_orthogonality_holds_at_high_degree(L):
-    # at degree 20 monomial coefficients lose their digits to cancellation; the recurrence does not
-    assert orthogonality_check(L, 20, 4000) < 1e-10
-
-
-def test_orthogonality_scales_down_with_nodes():
-    coarse = orthogonality_check(2, 5, 16)
-    fine = orthogonality_check(2, 5, 1024)
-    assert fine <= coarse + 1e-15
 
 
 @pytest.mark.parametrize("L", BELOW_ONE[:2] + [2, 4, 8], ids=str)
@@ -116,12 +99,14 @@ def test_diagonal_norm_quadrature():
     assert abs(value - 1088 / 13) / (1088 / 13) < 1e-8
 
 
-def test_first_pair_residual():
-    assert orthogonality_check(4, 1, 2000) < 1e-9
-
-
-@pytest.mark.parametrize("quadrature", [moment_quadratures, moment_quadrature, orthogonality_check])
+@pytest.mark.parametrize("quadrature", [moment_quadratures, moment_quadrature])
 def test_without_numpy_the_quadrature_names_its_extra(monkeypatch, quadrature):
     monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
     with pytest.raises(ModuleNotFoundError, match=r"\[quad\]"):
         quadrature(2, 4, 4000)
+
+
+@pytest.mark.parametrize("L", [3, Fraction(5, 2), Fraction(37, 91), Fraction(1, 10)], ids=str)
+def test_exact_moments_are_the_sequence(monkeypatch, L):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # the exact moments need no numpy
+    assert exact_moments(L, 200) == list(a_sequence(L, 200).terms)
