@@ -266,10 +266,11 @@ def cmd_quad(args, result: CommandResult) -> None:
         raise UsageError("--nodes must be at least 16")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("--tol must be finite and positive")
-    window = a_sequence(args.L, args.moments)
     try:
-        exact = [float(term) for term in window.terms]
         quad = moment_quadratures(args.L, args.moments, args.nodes)
+        # the exact window only once the range check has passed: out of range it can be huge
+        window = a_sequence(args.L, args.moments)
+        exact = [float(term) for term in window.terms]
     except ModuleNotFoundError as exc:
         raise UsageError(str(exc)) from None
     except (OverflowError, ValueError):  # ValueError: float(L) is subnormal or past max/2

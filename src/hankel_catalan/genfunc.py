@@ -88,6 +88,9 @@ def t_sum_identities(L: RationalLike, n_max: int) -> bool:
       T(2n, n-1; L)   = (L-1)^{n-1} P_{n-1}^{(2,0)}(x)   (n >= 1; zero at n=0)
       T(2n+2, n+1; L) = (L-1)^{n+1} P_{n+1}^{(0,0)}(x)
     The last two are the coefficient form of the shifted series identities.
+    They are the second at n-1 and the first at n+1, and T(0, -1) = 0 is
+    pascal_t's k < 0 convention, so checking the first for n <= n_max + 1
+    and the second for n <= n_max covers all four.
     """
     Lf = as_rational(L)
     if Lf == 1:
@@ -95,21 +98,11 @@ def t_sum_identities(L: RationalLike, n_max: int) -> bool:
     x = (Lf + 1) / (Lf - 1)
     legendre = JacobiParams(0, 0)
     shifted = JacobiParams(2, 0)
-    if pascal_t(0, -1, Lf) != 0:
-        return False
-    for n in range(n_max + 1):
+    for n in range(n_max + 2):
         scale = (Lf - 1) ** n
         if pascal_t(2 * n, n, Lf) != scale * jacobi_poly(n, legendre, x):
             return False
-        if pascal_t(2 * n + 2, n, Lf) != scale * jacobi_poly(n, shifted, x):
-            return False
-        if n >= 1 and pascal_t(2 * n, n - 1, Lf) != (Lf - 1) ** (n - 1) * jacobi_poly(
-            n - 1, shifted, x
-        ):
-            return False
-        if pascal_t(2 * n + 2, n + 1, Lf) != (Lf - 1) ** (n + 1) * jacobi_poly(
-            n + 1, legendre, x
-        ):
+        if n <= n_max and pascal_t(2 * n + 2, n, Lf) != scale * jacobi_poly(n, shifted, x):
             return False
     return True
 

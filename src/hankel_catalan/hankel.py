@@ -1,18 +1,19 @@
 """Hankel determinants and the closed-form transform of the target sequence.
 
-Determinants by elimination are exact fraction-free (Bareiss) passes over
-the integers, in one routine, on any window written as the integers
-s t^l a_l of sequences.integer_window (s = t = q for the sequence, L = p/q):
-without row swaps it gives every leading minor h_1 .. h_N at once
-(hankel_minors, the elimination oracle of the `det` route); with rows
-swapped past a zero pivot it gives one determinant (hankel_det). The `det`
-route itself is the Chebyshev pass in opoly. The
-closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs entirely on rational
-carriers of the surd expressions, so sqrt(L^2+4) never appears: phi_n,
-psihat_n and sigma_n all satisfy x_{n+1} = 2(L+2) x_n - 4L x_{n-1}. For
-L = p/q the carriers scaled by powers of q are integers with an integer
-recurrence (_carriers); the closed form, the carrier states and the chain's
-tilde stage each run it and build one Fraction per value.
+Determinants by elimination come from one fraction-free (Bareiss)
+elimination of any square integer matrix, here the Hankel matrix of a
+window written as the integers s t^l a_l of sequences.integer_window
+(s = t = q for the sequence, L = p/q). hankel_minors reads its pivots as
+every leading minor h_1 .. h_N and raises on a zero pivot (it is the
+elimination oracle of the `det` route); hankel_det swaps rows past a zero
+pivot and reads one determinant. The `det` route itself is the Chebyshev
+pass in opoly. The closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs
+entirely on rational carriers of the surd expressions, so sqrt(L^2+4) never
+appears: phi_n, psihat_n and sigma_n all satisfy
+x_{n+1} = 2(L+2) x_n - 4L x_{n-1}. For L = p/q the carriers scaled by powers
+of q are integers with an integer recurrence (_carriers); the closed form,
+the carrier states and the chain's tilde stage each run it and build one
+Fraction per value.
 """
 
 from __future__ import annotations
@@ -40,27 +41,20 @@ class NonIntegerResult(RuntimeWarning):
 
 
 def _bareiss(rows: list[list[int]], pivoting: bool) -> list[int]:
-    """Fraction-free elimination of a symmetric integer matrix; consumes `rows`.
+    """Fraction-free elimination of any square integer matrix; consumes `rows`.
 
     Returns the pivots. Without a row swap the k-th pivot is the k x k
-    leading minor, and every stage stays symmetric, so only the upper
-    triangle is updated. A zero pivot raises ZeroLeadingMinor; with
-    `pivoting` it instead restores the lower triangle, swaps in a later row
-    and goes on with full-row updates, and the last pivot (signed by the
-    swaps) is still the determinant.
+    leading minor. A zero pivot raises ZeroLeadingMinor; with `pivoting` it
+    instead swaps in a later row, and the last pivot (signed by the swaps)
+    is still the determinant, 0 where no later row has a nonzero entry.
     """
     n = len(rows)
     pivots = []
-    prev, sign, symmetric = 1, 1, True
+    prev, sign = 1, 1
     for k in range(n):
         if rows[k][k] == 0:
             if not pivoting:
                 raise ZeroLeadingMinor(f"leading minor h_{k + 1} vanishes")
-            if symmetric:
-                for i in range(k + 1, n):
-                    for j in range(k, i):
-                        rows[i][j] = rows[j][i]
-                symmetric = False
             swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
             if swap is None:
                 return pivots + [0]
@@ -69,25 +63,28 @@ def _bareiss(rows: list[list[int]], pivoting: bool) -> list[int]:
         pivot_row = rows[k]
         pivot = pivot_row[k]
         pivots.append(sign * pivot)
-        for i in range(k + 1, n):
-            row = rows[i]
-            # by symmetry rows[i][k] = pivot_row[i] until the first swap
-            factor, start = (pivot_row[i], i) if symmetric else (row[k], k + 1)
-            for j in range(start, n):
+        for row in rows[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
         prev = pivot
     return pivots
 
 
-def _window_pivots(seq: Window, n: int, pivoting: bool) -> tuple[list[int], int, int]:
-    """The Bareiss pivots of the n x n Hankel matrix of the integers
-    s t^l a_l (sequences.integer_window), and s and t: the k x k leading
-    minor of the integer matrix is s^k t^{k(k-1)} times that of the window."""
+def _window_pivots(seq: Window, n: int, pivoting: bool) -> list[Fraction]:
+    """The Bareiss pivots of the window's n x n Hankel matrix.
+
+    The elimination runs on the integers s t^l a_l of
+    sequences.integer_window, whose k x k leading minor is s^k t^{k(k-1)}
+    times the window's; each pivot is divided back by that factor. After a
+    row swap only the last pivot, the determinant, keeps that meaning.
+    """
     terms = window_terms(seq)
     if len(terms) < 2 * n - 1:
         raise InsufficientTerms(f"need a_0..a_{2 * n - 2}, window has {len(terms)} terms")
     ints, s, t = integer_window(terms[: max(2 * n - 1, 0)])
-    return _bareiss([ints[i : i + n] for i in range(n)], pivoting), s, t
+    pivots = _bareiss([ints[i : i + n] for i in range(n)], pivoting)
+    return [Fraction(pivot, s**k * t ** (k * (k - 1))) for k, pivot in enumerate(pivots, 1)]
 
 
 def hankel_det(seq: Window, n: int) -> Fraction:
@@ -99,8 +96,7 @@ def hankel_det(seq: Window, n: int) -> Fraction:
         raise ValueError("matrix dimension must be nonnegative")
     if n == 0:
         return Fraction(1)
-    pivots, s, t = _window_pivots(seq, n, pivoting=True)
-    return Fraction(pivots[-1], s**n * t ** (n * (n - 1)))
+    return _window_pivots(seq, n, pivoting=True)[-1]
 
 
 def hankel_minors(seq: Window, n_max: int) -> list[Fraction]:
@@ -114,8 +110,7 @@ def hankel_minors(seq: Window, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    pivots, s, t = _window_pivots(seq, n_max, pivoting=False)
-    return [Fraction(pivot, s ** (k + 1) * t ** (k * (k + 1))) for k, pivot in enumerate(pivots)]
+    return _window_pivots(seq, n_max, pivoting=False)
 
 
 # -- integer carriers of the surd closed form --------------------------------

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # numpy is imported where it is used, which keeps it out of s
 
 
 class DomainError(ValueError):
-    """The weight is undefined at x = 0 (reachable only for L = 1)."""
+    """The weight is undefined at x = 0 (reachable only for L = 1, where it ends the support)."""
 
 
 def exact_moments(L: RationalLike, n_max: int) -> list[Fraction]:
@@ -71,15 +71,13 @@ def _support(L: Real) -> tuple[float, float, float]:
 
 def weight_eval(x: float, L: Real) -> float:
     """Pointwise weight value; exactly 0 outside the open support."""
-    L, lo, hi = _support(L)
-    if x == 0.0:
+    _, lo, hi = _support(L)
+    if x == 0.0 == lo:
         raise DomainError("weight undefined at x = 0")
     if not lo < x < hi:
         return 0.0
-    radicand = 4.0 * L - (x - L - 1.0) ** 2
-    if radicand <= 0.0:
-        return 0.0
-    return (1.0 + 1.0 / x) * math.sqrt(radicand) / (2.0 * math.pi)
+    # 4L - (x-L-1)^2 in factored form, which does not cancel to 0 near either end
+    return (1.0 + 1.0 / x) * math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi)
 
 
 def _substituted(L: Real, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +102,8 @@ def _substituted(L: Real, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def moment_quadratures(L: Real, n_max: int, nodes: int) -> list[float]:
-    """Approximate moments 0 .. n_max of the measure from one set of nodes."""
+    """Approximate moments 0 .. n_max of the measure from one set of nodes;
+    OverflowError where one of them, or hi^n_max, leaves the float64 range."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     L, _, hi = _support(L)
@@ -113,7 +112,11 @@ def moment_quadratures(L: Real, n_max: int, nodes: int) -> list[float]:
     x, w = _substituted(L, nodes)
     # Moment 0's 1/x part, whose peak the rule misses near L = 1, and the atom sum to
     # min(1, L) + (1 - L)_+ = 1 exactly; w x / (1 + x) is the sin^2 part alone, and x = 0 drops out.
-    return [float(w @ (x / (1.0 + x))) + 1.0] + [float(w @ x**n) for n in range(1, n_max + 1)]
+    try:
+        with _numpy().errstate(over="raise"):  # moment n, up to (L+1) hi^n, can pass the range first
+            return [float(w @ (x / (1.0 + x))) + 1.0] + [float(w @ x**n) for n in range(1, n_max + 1)]
+    except FloatingPointError:
+        raise OverflowError(f"a moment of L = {L} up to n = {n_max} leaves the float64 range") from None
 
 
 def moment_quadrature(L: Real, n: int, nodes: int) -> float:

@@ -360,6 +360,7 @@ def test_quad_below_one_counts_the_atom_at_zero(capsys, L):
         ["quad", "--L", "2", "--tol", "-1"],
         ["quad", "--L", "1e-320"],
         ["quad", "--L", "9e307", "--moments", "0"],
+        ["quad", "--L", "1e300", "--moments", "1"],
     ],
 )
 def test_bad_input_exits_one_with_a_message(capsys, argv):
@@ -369,6 +370,18 @@ def test_bad_input_exits_one_with_a_message(capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("hankel-catalan: error: ")
     assert len(captured.err) <= 100
+
+
+def test_quad_checks_the_range_before_building_the_window(capsys, monkeypatch):
+    from hankel_catalan import cli
+
+    def unbuilt(L, n_max):
+        raise AssertionError("the exact window was built before the range check")
+
+    monkeypatch.setattr(cli, "a_sequence", unbuilt)
+    assert main(["quad", "--L", "37/91", "--moments", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "hankel-catalan: error: --L 37/91 --moments 100000 leaves the float64 range\n"
 
 
 def test_quad_without_numpy_is_a_usage_error(monkeypatch, capsys):

@@ -10,6 +10,7 @@ from hankel_catalan.hankel import (
     InsufficientTerms,
     SurdState,
     ZeroLeadingMinor,
+    _bareiss,
     h_closed_form,
     h_closed_forms,
     h_polynomial_form,
@@ -75,6 +76,15 @@ def test_zero_leading_minors_are_pivoted_past():
         terms = [Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((1, 2, 3))) for _ in range(2 * n - 1)]
         rows = [[terms[i + j] for j in range(n)] for i in range(n)]
         assert hankel_det(terms, n) == naive_det(rows)
+
+
+def test_bareiss_takes_any_square_integer_matrix():
+    # not Hankel, nor symmetric: the last pivot with row swaps is the determinant
+    rng = random.Random(1968)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        assert _bareiss([row[:] for row in rows], pivoting=True)[-1] == naive_det(rows)
 
 
 def hankel_rows(terms, n):

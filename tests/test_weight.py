@@ -40,11 +40,35 @@ def test_weight_vanishes_outside_open_support():
     assert weight_eval(9.5, 4) == 0.0
     assert weight_eval(1.0, 4) == 0.0
     assert weight_eval(9.0, 4) == 0.0
+    assert weight_eval(0.0, 4.0) == weight_eval(0.0, 0.25) == 0.0
 
 
 def test_weight_rejects_origin():
     with pytest.raises(DomainError):
         weight_eval(0.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-17, 1e-12])
+def test_weight_near_the_origin_at_l_one(x):
+    expected = (1 + 1 / x) * math.sqrt(x * (4 - x)) / (2 * math.pi)
+    assert weight_eval(x, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [0.25, 1.0, 2.0, 8.0])
+def test_the_density_times_dx_is_the_quadrature_factor(L):
+    # dx = 2 sqrt(L) sin(theta) dtheta under x = L + 1 + 2 sqrt(L) cos(theta)
+    nodes = 4000
+    x, w = weight._substituted(L, nodes)
+    for i in range(nodes):  # the theta nodes; the atom at x = 0 for L < 1 comes after them
+        theta = (i + 0.5) * math.pi / nodes
+        density = weight_eval(float(x[i]), L) * 2 * math.sqrt(L) * math.sin(theta) * math.pi / nodes
+        assert density == pytest.approx(w[i], rel=1e-8)
+
+
+def test_a_moment_past_the_float64_range_is_an_overflow():
+    # hi^1 is in range, but moment 1 is about L^2 = 1e600
+    with pytest.raises(OverflowError):
+        moment_quadratures(1e300, 1, 4000)
 
 
 def test_total_mass():
