@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context
@@ -211,19 +212,16 @@ def cmd_recurrence(args, result: CommandResult) -> None:
     values are) and printed as _text; no Fraction is built."""
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    n_max = args.n
-    chain = moments = None
-    if args.method in ("chain", "both"):
-        chain = chain_pairs(args.L, n_max)
-        result.summary["r_last"] = _text(chain[2][n_max])
-    if args.method in ("moments", "both"):
-        moments = window_pairs(args.L, n_max)
-    for k in range(n_max):
-        row: dict[str, object] = {"k": k}
-        if chain is not None:
-            alpha, beta, r_prev = (c[k] for c in chain)  # r[k] is r_{k-1}; r[0] is the seed ratio
-            row.update(alpha=_text(alpha), beta=_text(beta), r_prev=_text(r_prev))
-        if moments is not None and chain is not None:
+    chain = chain_pairs(args.L, args.n) if args.method != "moments" else None
+    moments = window_pairs(args.L, args.n) if args.method != "chain" else None
+    if chain:
+        result.summary["r_last"] = _text(chain[2][args.n])
+    # one row path: alpha and beta from the chain when it runs, else from the moments
+    for k, (alpha, beta) in enumerate(zip(*(chain or moments)[:2])):
+        row: dict[str, object] = {"k": k, "alpha": _text(alpha), "beta": _text(beta)}
+        if chain:
+            row["r_prev"] = _text(chain[2][k])  # r[k] is r_{k-1}; r[0] is the seed ratio
+        if chain and moments:
             alpha_m, beta_m = moments[0][k], moments[1][k]
             # an agreeing pair reuses the chain's text: converting to decimal is the costly part
             equal = alpha == alpha_m and beta == beta_m
@@ -232,8 +230,6 @@ def cmd_recurrence(args, result: CommandResult) -> None:
             row["equal"] = equal
             if not equal:
                 result.mismatch({"k": k, **{key: str(v) for key, v in row.items() if key != "k"}})
-        elif moments is not None:
-            row.update(alpha=_text(moments[0][k]), beta=_text(moments[1][k]))
         result.rows.append(row)
 
 
@@ -247,8 +243,7 @@ def cmd_series(args, result: CommandResult) -> None:
     try:
         series = make(args.L, order)
     except PoleNotCancelled as exc:
-        result.status = "error"
-        result.summary["error"] = str(exc)
+        result.mismatch({"detail": str(exc)})
         return
     values = series.coefficients(0, order)
     result.rows = [{"k": k, "coeff": str(value)} for k, value in enumerate(values)]
@@ -368,7 +363,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    render(result, args.format)
+    try:
+        render(result, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the checks ran before the first byte; exit's flush goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if result.status == "ok" else EXIT_MISMATCH
 
 

@@ -31,9 +31,9 @@ the tilde coefficients, the ratios r_n and the output coefficients as
 reduced int pairs, cancelled as Fraction would cancel them (_divide_by_x);
 the Chebyshev pass keeps alpha_k and beta_k as reduced int pairs. A Fraction
 is built only for a coefficient returned to a library caller and for the
-running product that gives h_n, which stays a product of reduced factors, so
-no gcd ever pairs two integers of h_n's O(n^2) bits. The `recurrence`
-command compares and prints the pairs of chain_pairs and window_pairs directly.
+running product of norms that gives h_n (_minors), so no gcd ever pairs
+two integers of h_n's O(n^2) bits. The `recurrence` command compares and
+prints the pairs of chain_pairs and window_pairs directly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate, starmap
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, surd_states
 from .sequences import RationalLike, Window, as_rational, integer_window, scaled_terms, window_terms
@@ -139,8 +141,6 @@ def _add(a: int, b: int, c: int, d: int) -> Pair:
     """a/b + c/d of reduced pairs with b, d > 0, reduced as Fraction adds
     (Knuth, TAOCP vol. 2, 4.5.1): only gcd(b, d) can cancel."""
     g = math.gcd(b, d)
-    if g == 1:
-        return a * d + c * b, b * d
     s = b // g
     t = a * (d // g) + c * s
     g = math.gcd(t, g)
@@ -241,9 +241,9 @@ def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[F
 def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
     """The product route: h_1 .. h_n_max from the chain's betas alone.
 
-    The chain runs on int pairs from the carriers Y_n, and only the running
-    products of its betas become Fractions (see _products)."""
-    return _products(chain_pairs(L, n_max)[1])
+    The chain runs on int pairs from the carriers Y_n; the running products
+    of its betas are the norms, and only they become Fractions (see _minors)."""
+    return _minors(_beta_products(chain_pairs(L, n_max)[1]))
 
 
 def r_closed_form(L: RationalLike, n: int) -> Fraction:
@@ -373,22 +373,14 @@ def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
     Narayana recurrence yields (sequences.scaled_terms): the moments of
     U'[x^l] = q U[(q x)^l].
 
-    h is the running product of the Chebyshev pass's norms, q^{2k+1} U[Q_k^2]
-    on these integers, each one reduced Fraction, so no gcd ever pairs two
-    integers of h's size.
+    h is the running product (_minors) of the pass's norms on these integers
+    over q^{2k+1}: the norms U[Q_k^2] of the sequence's own functional.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
-    q = Lf.denominator
-    values = []
-    h = Fraction(1)
-    scale = q
-    for num, den in _chebyshev(scaled_terms(Lf, max(2 * n_max - 2, 0)), n_max)[2]:
-        h *= Fraction(num, den * scale)
-        values.append(h)
-        scale *= q * q
-    return values
+    norms = _chebyshev(scaled_terms(Lf, max(2 * n_max - 2, 0)), n_max)[2]
+    return _minors((num, den * Lf.denominator ** (2 * k + 1)) for k, (num, den) in enumerate(norms))
 
 
 def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
@@ -421,22 +413,19 @@ def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
     return TruncatedSeries(series, order)
 
 
-def _products(beta: Iterable[Pair]) -> list[Fraction]:
-    """h_1, h_2, ... from beta_0, beta_1, ... given as reduced int pairs with
-    denominators > 0.
+def _minors(norms: Iterable[Pair]) -> list[Fraction]:
+    """h_1, h_2, ... as the running product of the norms U[Q_k^2] = h_{k+1}/h_k,
+    given as int pairs with denominators > 0: the one read-out of every h row,
+    one reduced Fraction per norm, so no gcd pairs two integers of h's size."""
+    return list(accumulate(starmap(Fraction, norms), mul))
 
-    The running product R = beta_0 ... beta_k (the norm h_{k+1}/h_k) stays a
-    reduced pair; h_{k+1} = R h_k is one Fraction product, so no gcd ever
-    pairs two integers of h's size.
-    """
-    values = []
-    h = Fraction(1)
+
+def _beta_products(beta: Iterable[Pair]) -> Iterator[Pair]:
+    """The norms beta_0 ... beta_k, k = 0, 1, ..., as reduced pairs, from reduced beta pairs."""
     num, den = 1, 1
     for b, d in beta:
         num, den = _mul(num, den, b, d)
-        h *= Fraction(num, den)
-        values.append(h)
-    return values
+        yield num, den
 
 
 def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
@@ -445,7 +434,8 @@ def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
         raise ValueError("n_max must be nonnegative")
     if n > len(coeffs.beta):
         raise InsufficientTerms(f"need beta_0..beta_{n - 1}, have {len(coeffs.beta)}")
-    return _products((b.numerator, b.denominator) for b in coeffs.beta[:n])[-1] if n else Fraction(1)
+    norms = _beta_products((b.numerator, b.denominator) for b in coeffs.beta[:n])
+    return _minors(norms)[-1] if n else Fraction(1)
 
 
 def norm_closed_form(L: RationalLike, n: int) -> Fraction:

@@ -189,12 +189,6 @@ class TruncatedSeries:
         f = as_rational(factor)
         return _series(self._r, self._s * f.denominator, _rescaled(list(self._F), f.numerator))
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Forget coefficients above `order`."""
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return _series(self._r, self._s, list(self._F[: order + 1]))
-
     # -- inverse operations -------------------------------------------------
 
     def reciprocal(self) -> "TruncatedSeries":

@@ -62,9 +62,9 @@ def verify_row(
     return reports
 
 
-def verify_cell(L: RationalLike, n: int, routes: Collection[str] = ROUTES) -> VerificationReport:
-    """Compute one (L, n) transform value by the requested routes."""
-    return verify_row(L, n, routes)[-1]
+def verify_cell(L: RationalLike, n: int) -> VerificationReport:
+    """Compute one (L, n) transform value by every route."""
+    return verify_row(L, n)[-1]
 
 
 def verify_grid(L_values: Iterable[RationalLike], n_max: int) -> list[VerificationReport]:

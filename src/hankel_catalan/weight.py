@@ -61,8 +61,9 @@ def _numpy():
 
 def _support(L: Real) -> tuple[float, float, float]:
     """float(L) and the weight's support (lo, hi); L must be a normal positive
-    float64 no larger than half the float64 maximum, so that 2L stays finite."""
-    L = float(L)  # OverflowError past the range
+    float64 no larger than half the float64 maximum, so that 2L stays finite:
+    OverflowError where float(L) overflows, ValueError for any other L out of range."""
+    L = float(L)
     if not sys.float_info.min <= L <= sys.float_info.max / 2:  # a subnormal L keeps too few bits
         raise ValueError(f"parameter L must be a positive normal float64 at most max/2, got {L}")
     root = math.sqrt(L)
@@ -76,8 +77,9 @@ def weight_eval(x: float, L: Real) -> float:
         raise DomainError("weight undefined at x = 0")
     if not lo < x < hi:
         return 0.0
-    # 4L - (x-L-1)^2 in factored form, which does not cancel to 0 near either end
-    return (1.0 + 1.0 / x) * math.sqrt((x - lo) * (hi - x)) / (2.0 * math.pi)
+    # 4L - (x-L-1)^2 in factored form, which does not cancel to 0 near either end;
+    # (1 + 1/x) root as (1 + x)(root / x), since 1/x overflows at a subnormal x
+    return (1.0 + x) * (math.sqrt((x - lo) * (hi - x)) / x) / (2.0 * math.pi)
 
 
 def _substituted(L: Real, nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -455,3 +456,21 @@ def test_start_up_leaves_numpy_unimported():
     src = str(Path(hankel_catalan.__file__).resolve().parents[1])
     child = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "False"
+
+
+def test_a_reader_that_closes_the_pipe_keeps_the_verdict():
+    # 250 KB of output, far past a pipe's buffer: the writes after the reader
+    # leaves meet a closed pipe
+    src = str(Path(hankel_catalan.__file__).resolve().parents[1])
+    argv = ["verify", "--L", "1..8", "--n-max", "40", "--format", "json"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hankel_catalan.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 0
+    assert "Traceback" not in err

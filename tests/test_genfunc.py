@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -133,7 +134,10 @@ def test_a_surviving_pole_is_reported(monkeypatch, capsys):
     with pytest.raises(PoleNotCancelled):
         f_series(3, 10)
     assert main(["series", "--L", "3", "--which", "G", "--terms", "10"]) == 2
-    assert "status=error" in capsys.readouterr().out
+    assert "status=mismatch" in capsys.readouterr().out
+    assert main(["series", "--L", "3", "--which", "G", "--terms", "10", "--format", "json"]) == 2
+    trailer = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert "1/t coefficient" in trailer["first_mismatch"]["detail"]
 
     jacobi = genfunc.jacobi_genfun_series
     monkeypatch.setattr(

@@ -48,9 +48,9 @@ def test_weight_rejects_origin():
         weight_eval(0.0, 1.0)
 
 
-@pytest.mark.parametrize("x", [1e-300, 1e-17, 1e-12])
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-300, 1e-17, 1e-12])
 def test_weight_near_the_origin_at_l_one(x):
-    expected = (1 + 1 / x) * math.sqrt(x * (4 - x)) / (2 * math.pi)
+    expected = (1 + x) * math.sqrt(4 - x) / (2 * math.pi * math.sqrt(x))
     assert weight_eval(x, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
