@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad = sub.add_parser("quad", help="weight-function moment quadrature check")
     p_quad.add_argument("--L", type=_positive_rational, required=True)
     p_quad.add_argument("--moments", type=int, default=8, metavar="N_MAX")
-    p_quad.add_argument("--nodes", type=int, default=4000)
     p_quad.add_argument("--tol", type=float, default=1e-8)
     add_format(p_quad)
 
@@ -257,17 +256,13 @@ def cmd_series(args, result: CommandResult) -> None:
 def cmd_quad(args, result: CommandResult) -> None:
     if args.moments < 0:
         raise UsageError("--moments must be nonnegative")
-    if args.nodes < 16:
-        raise UsageError("--nodes must be at least 16")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError("--tol must be finite and positive")
     try:
-        quad = moment_quadratures(args.L, args.moments, args.nodes)
+        quad = moment_quadratures(args.L, args.moments)
         # the exact window only once the range check has passed: out of range it can be huge
         window = a_sequence(args.L, args.moments)
         exact = [float(term) for term in window.terms]
-    except ModuleNotFoundError as exc:
-        raise UsageError(str(exc)) from None
     except (OverflowError, ValueError):  # ValueError: float(L) is subnormal or past max/2
         text = str(args.L)
         if len(text) > 20:  # six digits, not the hundreds of a Fraction near the range's ends
@@ -362,6 +357,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         COMMANDS[args.command](args, result)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"{parser.prog}: error: not enough memory for these sizes", file=sys.stderr)
         return EXIT_USAGE
     try:
         render(result, args.format)

@@ -5,10 +5,12 @@ The derived weight is (1/2pi)(1 + 1/x) sqrt(4L - (x-L-1)^2) on the interval
 L < 1 the weight's mass is only 2L against a_0 = L + 1, and the measure is
 the weight plus an atom (1-L) delta_0. Its exact moments are a_n, so the
 chain's polynomials are orthogonal under it exactly. The float64 functions
-integrate after the substitution x = L + 1 + 2 sqrt(L) cos(theta), which
-turns the integrand into a smooth (periodic) function of theta: the endpoint
-square-root singularities and the x^(-1/2) endpoint behaviour at L = 1 are
-absorbed exactly, so the midpoint rule converges spectrally.
+integrate after the substitution x = L + 1 + 2 sqrt(L) cos(theta), under
+which moment n >= 1 integrates (x^n + x^(n-1)) sin^2(theta), a polynomial of
+degree n + 2 in cos(theta). The N-node midpoint rule in theta integrates every
+such polynomial of degree below 2N exactly, so N = n_max // 2 + 2 nodes make
+the rule exact up to rounding; moment 0 takes its 1/x part, the one
+integrand that is no polynomial, exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +19,8 @@ import math
 import sys
 from fractions import Fraction
 from numbers import Real
-from typing import TYPE_CHECKING
 
 from .sequences import RationalLike, SequenceParams, as_rational
-
-if TYPE_CHECKING:  # numpy is imported where it is used, which keeps it out of start-up
-    import numpy as np
 
 
 class DomainError(ValueError):
@@ -50,15 +48,6 @@ def exact_moments(L: RationalLike, n_max: int) -> list[Fraction]:
     return [Fraction(q * scaled[n] + scaled[n + 1], q ** (n + 1)) for n in range(n_max + 1)]
 
 
-def _numpy():
-    """numpy, the quadrature's only dependency, or the one error that names its extra."""
-    try:
-        import numpy
-    except ImportError:
-        raise ModuleNotFoundError("quad needs numpy: pip install 'hankel-catalan[quad]'") from None
-    return numpy
-
-
 def _support(L: Real) -> tuple[float, float, float]:
     """float(L) and the weight's support (lo, hi); L must be a normal positive
     float64 no larger than half the float64 maximum, so that 2L stays finite:
@@ -82,45 +71,39 @@ def weight_eval(x: float, L: Real) -> float:
     return (1.0 + x) * (math.sqrt((x - lo) * (hi - x)) / x) / (2.0 * math.pi)
 
 
-def _substituted(L: Real, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and combined quadrature factors for integrals against the measure.
+def _substituted(L: Real, nodes: int) -> tuple[list[float], list[float]]:
+    """Abscissae and combined quadrature factors for integrals against the weight.
 
     integral f(x) w(x) dx = (2L/pi) integral_0^pi f(x(theta)) (1 + 1/x) sin^2(theta) dtheta,
-    and for L < 1 the atom adds the node x = 0 with factor 1 - L. The theta
-    integral is the midpoint rule on (0, pi), an open rule, so x = 0 is
-    never sampled.
+    by the midpoint rule on (0, pi), an open rule, so x = 0 is never sampled.
     """
     L = _support(L)[0]
-    if nodes < 16:
-        raise ValueError("nodes must be at least 16")
-    np = _numpy()
-    step = math.pi / nodes
-    theta = (np.arange(nodes) + 0.5) * step
-    x = L + 1.0 + 2.0 * math.sqrt(L) * np.cos(theta)
-    w = step * ((2.0 * L / math.pi) * (1.0 + 1.0 / x) * np.sin(theta) ** 2)
-    if L < 1.0:
-        return np.append(x, 0.0), np.append(w, 1.0 - L)
-    return x, w
+    root, scale = math.sqrt(L), 2.0 * L / nodes
+    theta = [(j + 0.5) * math.pi / nodes for j in range(nodes)]
+    x = [L + 1.0 + 2.0 * root * math.cos(t) for t in theta]
+    return x, [scale * (1.0 + 1.0 / xj) * math.sin(t) ** 2 for xj, t in zip(x, theta)]
 
 
-def moment_quadratures(L: Real, n_max: int, nodes: int) -> list[float]:
-    """Approximate moments 0 .. n_max of the measure from one set of nodes;
+def moment_quadratures(L: Real, n_max: int) -> list[float]:
+    """Moments 0 .. n_max of the measure in float64 from n_max // 2 + 2 nodes;
     OverflowError where one of them, or hi^n_max, leaves the float64 range."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     L, _, hi = _support(L)
     # the nodes lie below hi, so x^n on them overflows no sooner than this OverflowError
     math.pow(hi, n_max)
-    x, w = _substituted(L, nodes)
-    # Moment 0's 1/x part, whose peak the rule misses near L = 1, and the atom sum to
-    # min(1, L) + (1 - L)_+ = 1 exactly; w x / (1 + x) is the sin^2 part alone, and x = 0 drops out.
-    try:
-        with _numpy().errstate(over="raise"):  # moment n, up to (L+1) hi^n, can pass the range first
-            return [float(w @ (x / (1.0 + x))) + 1.0] + [float(w @ x**n) for n in range(1, n_max + 1)]
-    except FloatingPointError:
-        raise OverflowError(f"a moment of L = {L} up to n = {n_max} leaves the float64 range") from None
+    x, terms = _substituted(L, n_max // 2 + 2)
+    # Moment 0's 1/x part and the atom (1 - L)_+ sum to min(1, L) + (1 - L)_+ = 1
+    # exactly; w x / (1 + x) is the sin^2 part alone.
+    moments = [math.fsum(w * xj / (1.0 + xj) for w, xj in zip(terms, x)) + 1.0]
+    for _ in range(n_max):  # terms holds w_j x_j^n; fsum raises OverflowError past the range
+        terms = [w * xj for w, xj in zip(terms, x)]
+        moments.append(math.fsum(terms))
+    if not all(map(math.isfinite, moments)):  # a product past the range is inf, silently
+        raise OverflowError(f"a moment of L = {L} up to n = {n_max} leaves the float64 range")
+    return moments
 
 
-def moment_quadrature(L: Real, n: int, nodes: int) -> float:
-    """Approximate the n-th moment of the measure."""
-    return moment_quadratures(L, n, nodes)[-1]
+def moment_quadrature(L: Real, n: int) -> float:
+    """The n-th moment of the measure in float64."""
+    return moment_quadratures(L, n)[-1]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -151,7 +152,7 @@ def test_recurrence_reports_chain_against_moments_mismatch(capsys, monkeypatch):
         (["verify", "--L", "3,1/2", "--n-max", "2"], {"L": "3,1/2", "n_max": "2"}),
         (["recurrence", "--L", "2", "--n", "2", "--method", "chain"], {"L": "2", "n": "2", "method": "chain"}),
         (["series", "--L", "2", "--terms", "3"], {"L": "2", "terms": "3", "which": "G"}),
-        (["quad", "--L", "2", "--tol", "0.001"], {"L": "2", "moments": "8", "nodes": "4000", "tol": "0.001"}),
+        (["quad", "--L", "2", "--tol", "0.001"], {"L": "2", "moments": "8", "tol": "0.001"}),
     ],
 )
 def test_trailer_params_hold_every_parsed_option(capsys, argv, params):
@@ -293,10 +294,10 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 
 
 def test_quad_ok_and_tolerance_breach(capsys):
-    code, out = run(capsys, ["quad", "--L", "4", "--moments", "8", "--nodes", "4000", "--tol", "1e-8"])
+    code, out = run(capsys, ["quad", "--L", "4", "--moments", "8", "--tol", "1e-8"])
     assert code == 0
     assert "status=ok" in out
-    code, out = run(capsys, ["quad", "--L", "4", "--moments", "8", "--nodes", "4000", "--tol", "1e-30"])
+    code, out = run(capsys, ["quad", "--L", "4", "--moments", "8", "--tol", "1e-30"])
     assert code == 2
     assert "status=mismatch" in out
 
@@ -312,7 +313,7 @@ def test_quad_builds_its_nodes_once(monkeypatch, capsys):
 
 
 def test_quad_l1_endpoint_singularity(capsys):
-    code, out = run(capsys, ["quad", "--L", "1", "--moments", "6", "--nodes", "4000", "--tol", "1e-8", "--format", "json"])
+    code, out = run(capsys, ["quad", "--L", "1", "--moments", "6", "--tol", "1e-8", "--format", "json"])
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[0]["exact"] == "2"  # total mass L+1
@@ -324,6 +325,9 @@ def test_usage_errors_exit_one(capsys):
     assert info.value.code == 1
     with pytest.raises(SystemExit) as info:
         main(["seq", "--L", "x/y", "--n", "2"])
+    assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:  # the rule takes its node count from --moments
+        main(["quad", "--L", "2", "--nodes", "4000"])
     assert info.value.code == 1
     assert main(["hankel", "--L", "2", "--n", "0"]) == 1
     assert main(["series", "--L", "2", "--terms", "0"]) == 1
@@ -385,14 +389,38 @@ def test_quad_checks_the_range_before_building_the_window(capsys, monkeypatch):
     assert captured.err == "hankel-catalan: error: --L 37/91 --moments 100000 leaves the float64 range\n"
 
 
-def test_quad_without_numpy_is_a_usage_error(monkeypatch, capsys):
+def test_quad_passes_at_100_moments_without_numpy(monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
-    assert main(["quad", "--L", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "numpy" in captured.err and "[quad]" in captured.err
-    assert "Traceback" not in captured.err
+    code, out = run(capsys, ["quad", "--L", "2", "--moments", "100"])
+    assert code == 0, out.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--L", "1", "--n-max", "100000000"],
+        ["seq", "--L", "2", "--n", "1000000000"],
+        ["series", "--L", "2", "--terms", "100000000"],
+        ["hankel", "--L", "2", "--n", "300000000", "--method", "closed"],
+        ["recurrence", "--L", "2", "--n", "100000000", "--method", "moments"],
+    ],
+)
+def test_a_size_past_memory_is_a_one_line_error(argv):
+    def cap():  # runs in the child, before the interpreter starts
+        resource.setrlimit(resource.RLIMIT_AS, (300_000_000, 300_000_000))
+
+    src = str(Path(hankel_catalan.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "hankel_catalan.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 1
+    assert child.stdout == ""
+    assert child.stderr == "hankel-catalan: error: not enough memory for these sizes\n"
 
 
 _NUMBER = st.integers(-3, 15).map(str)
@@ -417,7 +445,6 @@ _OPTIONS = {
     "quad": [
         ("--L", _L),
         ("--moments", st.integers(-2, 300).map(str)),
-        ("--nodes", st.integers(16, 5000).map(str)),
         ("--tol", st.one_of(st.floats().map(repr), st.sampled_from(["1e-8", "0", "inf", "-nan"]))),
     ],
 }

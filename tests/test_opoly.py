@@ -275,7 +275,7 @@ _COEFFS = chain_coeffs(2, 3)[0]
         pytest.param(lambda: h_from_products(_COEFFS, -1), id="h_from_products"),
         pytest.param(lambda: h_closed_form(2, -1), id="h_closed_form"),
         pytest.param(lambda: h_polynomial_form(2, -1), id="h_polynomial_form"),
-        pytest.param(lambda: moment_quadrature(2.0, -1, 4000), id="moment_quadrature"),
+        pytest.param(lambda: moment_quadrature(2.0, -1), id="moment_quadrature"),
         pytest.param(lambda: exact_moments(2, -1), id="exact_moments"),
         pytest.param(lambda: stieltjes_from_moments(a_sequence(2, 5), -1), id="stieltjes_from_moments"),
         pytest.param(lambda: surd_states(2, -1), id="surd_states"),
