@@ -24,30 +24,29 @@ from .hankel import (
     NonIntegerResult,
     SurdState,
     ZeroLeadingMinor,
+    closed_norms,
     h_closed_form,
-    h_closed_forms,
     h_polynomial_form,
-    h_polynomial_forms,
     hankel_det,
     hankel_minors,
     lemma_identities,
     odd_fibonacci,
+    poly_norms,
     surd_states,
 )
 from .opoly import (
     DivisionByZeroR,
     RecurrenceCoeffs,
     chain_coeffs,
-    chain_products,
+    chain_norms,
     h_from_products,
     hat_stage,
     jfraction_series,
     lambda_closed,
-    norm_closed_form,
     r_closed_form,
     stieltjes_from_moments,
     tilde_coeffs,
-    window_minors,
+    window_norms,
 )
 from .sequences import (
     InconsistentA0,

@@ -335,6 +335,22 @@ def render(result: CommandResult, fmt: str) -> None:
     RENDERERS[fmt](result)
 
 
+def _check_size(args: argparse.Namespace) -> None:
+    """Raise MemoryError at once for a size that cannot fit: every command but
+    quad holds a row of N + 1 exact integers, at least N^2/2 bits for any L
+    (one row per L for verify), against RLIMIT_AS, else physical memory."""
+    if args.command == "quad":
+        return
+    import resource  # here, not at start-up
+    size = max(getattr(args, {"verify": "n_max", "series": "terms"}.get(args.command, "n")), 0)
+    rows = len(args.L) if args.command == "verify" else 1
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if rows * size * size // 16 > limit:
+        raise MemoryError
+
+
 COMMANDS = {
     "seq": cmd_seq,
     "hankel": cmd_hankel,
@@ -354,6 +370,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     result = CommandResult(args.command, _params(args))
     try:
+        _check_size(args)
         COMMANDS[args.command](args, result)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

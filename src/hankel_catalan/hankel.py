@@ -11,17 +11,18 @@ pass in opoly. The closed form h_n = L^{n(n-1)/2} * sigma_n / 2^{n+1} runs
 entirely on rational carriers of the surd expressions, so sqrt(L^2+4) never
 appears: phi_n, psihat_n and sigma_n all satisfy
 x_{n+1} = 2(L+2) x_n - 4L x_{n-1}. For L = p/q the carriers scaled by powers
-of q are integers with an integer recurrence (_carriers); the closed form,
-the carrier states and the chain's tilde stage each run it and build one
-Fraction per value.
+of q are integers with an integer recurrence (_carriers). Each route's row
+is its norms nu_{n-1} = h_n/h_{n-1}, here L^{n-1} sigma_n / (2 sigma_{n-1}),
+and h is their running product (_minors).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, mul
+from typing import Iterable, Sequence
 
 from .sequences import RationalLike, Window, as_rational, integer_window, window_terms
 
@@ -163,43 +164,47 @@ def surd_states(L: RationalLike, n_max: int) -> list[SurdState]:
     return states
 
 
-def h_closed_form(L: RationalLike, n: int) -> Fraction:
-    """Transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1."""
-    values = h_closed_forms(L, n)
-    return values[-1] if values else Fraction(1)
+def _minors(norms: Iterable[Fraction]) -> list[Fraction]:
+    """h_1, h_2, ... as the running product of the norms nu_k = h_{k+1}/h_k:
+    the one read-out of every h row. Each norm has O(k) bits against h's
+    O(k^2), so Fraction's crosswise gcds never pair two integers of h's size."""
+    return list(accumulate(norms, mul))
 
 
-def h_closed_forms(L: RationalLike, n_max: int) -> list[Fraction]:
-    """Closed-form values h_1 .. h_n_max from one run of the integer carriers.
+def _ratio_norms(L: Fraction, sums: Sequence[int]) -> list[Fraction]:
+    """The norms nu_{n-1} = p^{n-1} X_n / (2 q^n X_{n-1}), n = 1 .. len(sums) - 1,
+    of h_n = L^{n(n-1)/2} X_n / (X_0 (2q)^n) for L = p/q, from X_0 .. X_N."""
+    p, q = L.numerator, L.denominator
+    nums = accumulate([1] + [p] * len(sums), mul)  # p^{n-1}
+    dens = accumulate([2 * q] + [q] * len(sums), mul)  # 2 q^n
+    return [Fraction(a * cur, b * prev) for a, b, prev, cur in zip(nums, dens, sums, sums[1:])]
 
-    Each value is (q^n sigma_n / (2^{n+1} q^n)) * L^{n(n-1)/2}, both factors
-    reduced on their own. For integer L the result is provably an integer; a
-    fractional outcome is reported as a NonIntegerResult warning, because it
-    would falsify the closed form rather than indicate a caller error.
-    """
+
+def closed_norms(L: RationalLike, n_max: int) -> list[Fraction]:
+    """The closed form's norms nu_0 .. nu_{n_max-1}, nu_{n-1} = h_n/h_{n-1} =
+    L^{n-1} sigma_n / (2 sigma_{n-1}), from one run of the integer carriers:
+    S_n = p Y_n + P_n = q^n sigma_n, with S_0 = 2."""
     Lf = as_rational(L)
     P, Y = _carriers(Lf, n_max)
-    p, q = Lf.numerator, Lf.denominator
-    values = []
-    for n in range(1, n_max + 1):
-        value = Fraction(p * Y[n] + P[n], 2 ** (n + 1) * q**n) * Lf ** (n * (n - 1) // 2)
-        if q == 1 and value.denominator != 1:
-            warnings.warn(f"h_{n}({Lf}) = {value} is not an integer", NonIntegerResult, stacklevel=2)
-        values.append(value)
-    return values
+    return _ratio_norms(Lf, [Lf.numerator * y + x for x, y in zip(P, Y)])
 
 
-def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
-    """Transform values h_1 .. h_n_max as explicit polynomials in L.
+def h_closed_form(L: RationalLike, n: int) -> Fraction:
+    """The paper's transform value L^{n(n-1)/2} * sigma_n / 2^{n+1}; h_0 = 1."""
+    return as_rational(L) ** (n * (n - 1) // 2) * surd_states(L, n)[n].sigma / 2 ** (n + 1)
+
+
+def poly_norms(L: RationalLike, n_max: int) -> list[Fraction]:
+    """The norms nu_0 .. nu_{n_max-1} of the transform as explicit polynomials in L.
 
     Expands the surd closed form by the binomial theorem, leaving
-    2^{-n} L^{n(n-1)/2} * [ sum_i C(n,2i+1) L (L+2)^{n-2i-1} (L^2+4)^i
-                          + sum_i C(n,2i)   (L+2)^{n-2i}     (L^2+4)^i ].
-    For L = p/q every term of the bracket has denominator q^n, so the bracket
-    is one integer sum over k = 0..n of C(n,k) (p+2q)^{n-k} t_k, where
-    t_{2i} = (p^2+4q^2)^i and t_{2i+1} = p (p^2+4q^2)^i are tabulated once
-    for the row. Each value is (bracket / (2q)^n) * L^{n(n-1)/2}: both
-    factors are reduced on their own, so no gcd pairs two large integers.
+    h_n = 2^{-n} L^{n(n-1)/2} * [ sum_i C(n,2i+1) L (L+2)^{n-2i-1} (L^2+4)^i
+                                + sum_i C(n,2i)   (L+2)^{n-2i}     (L^2+4)^i ].
+    For L = p/q every term of the bracket has denominator q^n, so q^n times
+    the bracket is one integer sum B_n over k = 0..n of
+    C(n,k) (p+2q)^{n-k} t_k, where t_{2i} = (p^2+4q^2)^i and
+    t_{2i+1} = p (p^2+4q^2)^i are tabulated once for the row. With B_0 = 1,
+    nu_{n-1} = p^{n-1} B_n / (2 q^n B_{n-1}).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -207,25 +212,20 @@ def h_polynomial_forms(L: RationalLike, n_max: int) -> list[Fraction]:
     if Lf <= 0:
         raise ValueError("parameter L must be positive")
     p, q = Lf.numerator, Lf.denominator
-    shifted = [1]  # (p + 2q)^k = q^k (L+2)^k
-    for _ in range(n_max):
-        shifted.append(shifted[-1] * (p + 2 * q))
-    surd = [1, p]  # t_k, the (L^2+4)^i and L (L^2+4)^i parts scaled by q^k
-    while len(surd) <= n_max:
-        surd += [surd[-2] * (p * p + 4 * q * q), surd[-1] * (p * p + 4 * q * q)]
-    values = []
+    shifted = list(accumulate([1] + [p + 2 * q] * n_max, mul))  # (p + 2q)^k = q^k (L+2)^k
+    # t_k, the (L^2+4)^i and L (L^2+4)^i parts scaled by q^k
+    surd = [t for r in accumulate([1] + [p * p + 4 * q * q] * (n_max // 2), mul) for t in (r, p * r)]
+    brackets = [1]
     row = [1]  # C(n, 0..n)
     for n in range(1, n_max + 1):
         row = [1, *map(add, row, row[1:]), 1]
-        bracket = sum(map(mul, map(mul, row, shifted[n::-1]), surd))
-        values.append(Fraction(bracket, (2 * q) ** n) * Lf ** (n * (n - 1) // 2))
-    return values
+        brackets.append(sum(map(mul, map(mul, row, shifted[n::-1]), surd)))
+    return _ratio_norms(Lf, brackets)
 
 
 def h_polynomial_form(L: RationalLike, n: int) -> Fraction:
     """Transform value h_n as an explicit polynomial in L; h_0 = 1."""
-    values = h_polynomial_forms(L, n)
-    return values[-1] if values else Fraction(1)
+    return _minors([Fraction(1), *poly_norms(L, n)])[-1]
 
 
 def odd_fibonacci(n_max: int) -> list[int]:

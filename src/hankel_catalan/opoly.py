@@ -16,11 +16,11 @@ coefficient is a ratio of the integer carriers psihat/sigma; the two earlier
 stages involve pi and sqrt(L) and are kept in float64 purely as a
 cross-check. RecurrenceCoeffs is the one coefficient record: the hat and
 tilde stages, the chain's output and the moments' coefficients all come in
-it. Products of the chain's betas reconstruct the Hankel
-determinants (the `product` route). The norms U[Q_k^2] of the Chebyshev
-algorithm are the diagonal of the Hankel matrix's LDL^T factorization, and
-their products give the determinants too (the `det` route, on the integer
-window q^{l+1} a_l for L = p/q); the `recurrence --method moments`
+it. The running products of the chain's betas are the norms
+h_{k+1}/h_k (chain_norms, the `product` route). The norms U[Q_k^2] of the
+Chebyshev algorithm are the diagonal of the Hankel matrix's LDL^T
+factorization (window_norms, the `det` route, on the integer window
+q^{l+1} a_l for L = p/q); the `recurrence --method moments`
 coefficients come from the same pass on the same dilated window, unscaled
 afterwards (alpha_k and beta_0 by q, beta_k by q^2). stieltjes_from_moments
 runs the pass on the integers s t^l a_l that sequences.integer_window makes
@@ -30,10 +30,10 @@ Both derivations do their per-index work on plain integers. The chain keeps
 the tilde coefficients, the ratios r_n and the output coefficients as
 reduced int pairs, cancelled as Fraction would cancel them (_divide_by_x);
 the Chebyshev pass keeps alpha_k and beta_k as reduced int pairs. A Fraction
-is built only for a coefficient returned to a library caller and for the
-running product of norms that gives h_n (_minors), so no gcd ever pairs
-two integers of h_n's O(n^2) bits. The `recurrence` command compares and
-prints the pairs of chain_pairs and window_pairs directly.
+is built only for a coefficient returned to a library caller and for each
+norm of a route's row, whose running product is h (hankel._minors), so no
+gcd ever pairs two integers of h_n's O(n^2) bits. The `recurrence` command
+compares and prints the pairs of chain_pairs and window_pairs directly.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, starmap
-from operator import mul
+from itertools import starmap
 from typing import Iterable, Iterator, Sequence
 
-from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, surd_states
+from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, _minors, surd_states
 from .sequences import RationalLike, Window, as_rational, integer_window, scaled_terms, window_terms
 from .series import TruncatedSeries
 
@@ -238,12 +237,10 @@ def chain_coeffs(L: RationalLike, n_max: int) -> tuple[RecurrenceCoeffs, tuple[F
     return _coeffs(alpha, beta), tuple(Fraction(*x) for x in r)
 
 
-def chain_products(L: RationalLike, n_max: int) -> list[Fraction]:
-    """The product route: h_1 .. h_n_max from the chain's betas alone.
-
-    The chain runs on int pairs from the carriers Y_n; the running products
-    of its betas are the norms, and only they become Fractions (see _minors)."""
-    return _minors(_beta_products(chain_pairs(L, n_max)[1]))
+def chain_norms(L: RationalLike, n_max: int) -> list[Fraction]:
+    """The product route: the norms beta_0 ... beta_k, k < n_max, of the
+    chain's betas alone, run on int pairs from the carriers Y_n."""
+    return list(starmap(Fraction, _beta_products(chain_pairs(L, n_max)[1])))
 
 
 def r_closed_form(L: RationalLike, n: int) -> Fraction:
@@ -367,20 +364,16 @@ def stieltjes_from_moments(seq: Window, n_max: int) -> RecurrenceCoeffs:
     return _coeffs(*_moment_pairs(*integer_window(moments[: 2 * n_max]), n_max))
 
 
-def window_minors(L: RationalLike, n_max: int) -> list[Fraction]:
-    """The det route: h_1 .. h_n_max of the sequence's own window, read as
-    the integers q^{l+1} a_l (l <= 2 n_max - 2, L = p/q) that the
-    Narayana recurrence yields (sequences.scaled_terms): the moments of
-    U'[x^l] = q U[(q x)^l].
-
-    h is the running product (_minors) of the pass's norms on these integers
-    over q^{2k+1}: the norms U[Q_k^2] of the sequence's own functional.
-    """
+def window_norms(L: RationalLike, n_max: int) -> list[Fraction]:
+    """The det route: the norms U[Q_k^2] = h_{k+1}/h_k, k < n_max, of the
+    sequence's window, read as the integers q^{l+1} a_l (L = p/q) of
+    sequences.scaled_terms: the moments of U'[x^l] = q U[(q x)^l], whose
+    norm U'[Q_k^2] is q^{2k+1} U[Q_k^2]."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     Lf = as_rational(L)
     norms = _chebyshev(scaled_terms(Lf, max(2 * n_max - 2, 0)), n_max)[2]
-    return _minors((num, den * Lf.denominator ** (2 * k + 1)) for k, (num, den) in enumerate(norms))
+    return [Fraction(num, den * Lf.denominator ** (2 * k + 1)) for k, (num, den) in enumerate(norms)]
 
 
 def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
@@ -413,13 +406,6 @@ def jfraction_series(coeffs: RecurrenceCoeffs, order: int) -> TruncatedSeries:
     return TruncatedSeries(series, order)
 
 
-def _minors(norms: Iterable[Pair]) -> list[Fraction]:
-    """h_1, h_2, ... as the running product of the norms U[Q_k^2] = h_{k+1}/h_k,
-    given as int pairs with denominators > 0: the one read-out of every h row,
-    one reduced Fraction per norm, so no gcd pairs two integers of h's size."""
-    return list(accumulate(starmap(Fraction, norms), mul))
-
-
 def _beta_products(beta: Iterable[Pair]) -> Iterator[Pair]:
     """The norms beta_0 ... beta_k, k = 0, 1, ..., as reduced pairs, from reduced beta pairs."""
     num, den = 1, 1
@@ -435,17 +421,5 @@ def h_from_products(coeffs: RecurrenceCoeffs, n: int) -> Fraction:
     if n > len(coeffs.beta):
         raise InsufficientTerms(f"need beta_0..beta_{n - 1}, have {len(coeffs.beta)}")
     norms = _beta_products((b.numerator, b.denominator) for b in coeffs.beta[:n])
-    return _minors(norms)[-1] if n else Fraction(1)
-
-
-def norm_closed_form(L: RationalLike, n: int) -> Fraction:
-    """Squared norm of Q_{n-1} in closed form: (L^{n-1}/2) sigma_n / sigma_{n-1}.
-
-    Equals beta_0 ... beta_{n-1} and therefore h_n / h_{n-1}.
-    """
-    if n < 1:
-        raise ValueError("index must be positive")
-    Lf = as_rational(L)
-    states = surd_states(Lf, n)
-    return Lf ** (n - 1) / 2 * states[n].sigma / states[n - 1].sigma
+    return _minors(starmap(Fraction, norms))[-1] if n else Fraction(1)
 

@@ -2,33 +2,34 @@
 
 Every cell (L, n) computes the transform by the routes of ROUTES, up to four
 (determinant, surd closed form, beta-product reconstruction, explicit
-polynomial), and records whether they agree exactly. The determinant is the
-product of the norms U[Q_k^2] of the Chebyshev algorithm on the window a_k,
-read as the integers q^{k+1} a_k for L = p/q, which is the structured LDL^T
-factorization of the Hankel matrix. The unit of work is a row: one L and
-every n up to n_max. Each route makes one pass over the row (one window and
-one Chebyshev pass, one carrier run, one modification chain on the carriers
-psihat alone) and no route reads another's values. The det and product
-routes run on integer kernels and build a Fraction only for each running
-product h_n. Reports are sorted by (L, n).
+polynomial), and records whether they agree exactly. The unit of work is a
+row: one L and every n up to n_max. Each route makes one pass over the row
+(one Chebyshev pass on the window, one carrier run, one modification chain,
+one bracket sum per n), reads no other route's values, and gives the row's
+norms nu_k = h_{k+1}/h_k, of O(k) bits where h_k has O(k^2), since
+h_n = nu_0 nu_1 ... nu_{n-1} (Gautschi, Orthogonal Polynomials, 2004,
+section 2.1.7). verify_row compares the norm rows and builds h once, from
+the first route's row; only a route whose norms differ gets an h row of its
+own. Reports are sorted by (L, n).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable
 
-from .hankel import h_closed_forms, h_polynomial_forms
-from .opoly import chain_products, window_minors
+from .hankel import NonIntegerResult, _minors, closed_norms, poly_norms
+from .opoly import chain_norms, window_norms
 from .sequences import RationalLike, as_rational
 
-#: Route name -> row function (L, n_max) -> [h_1 .. h_n_max], in column order.
+#: Route name -> row function (L, n_max) -> norms [nu_0 .. nu_{n_max-1}], in column order.
 ROUTES = {
-    "det": window_minors,
-    "closed": h_closed_forms,
-    "product": chain_products,
-    "poly": h_polynomial_forms,
+    "det": window_norms,
+    "closed": closed_norms,
+    "product": chain_norms,
+    "poly": poly_norms,
 }
 
 
@@ -51,12 +52,18 @@ def verify_row(
         raise ValueError("n must be positive")
     if not routes or not set(routes) <= set(ROUTES):
         raise ValueError(f"routes must be a nonempty subset of {tuple(ROUTES)}, got {tuple(routes)}")
-    columns = {name: row(Lf, n_max) for name, row in ROUTES.items() if name in routes}
+    norm_rows = {name: row(Lf, n_max) for name, row in ROUTES.items() if name in routes}
+    first = next(iter(norm_rows.values()))
+    shared = _minors(first)
+    columns = {name: shared if norms == first else _minors(norms) for name, norms in norm_rows.items()}
+    if Lf.denominator == 1:  # then every h_n is an integer, and a fraction falsifies its route
+        bad = [(n, v) for h in columns.values() for n, v in enumerate(h, 1) if v.denominator != 1]
+        if bad:
+            warnings.warn(f"h_{bad[0][0]}({Lf}) = {bad[0][1]} is not an integer", NonIntegerResult, stacklevel=2)
     reports = []
     for n in range(1, n_max + 1):
         values = {route: column[n - 1] for route, column in columns.items()}
-        # Compared with the first route, not hashed: a Fraction's hash takes a
-        # modular inverse of its denominator.
+        # compared with the first route, not hashed: a Fraction's hash inverts its denominator mod p
         row = list(values.values())
         reports.append(VerificationReport(Lf, n, values, all(value == row[0] for value in row[1:])))
     return reports

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -11,10 +12,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hankel_catalan
-from hankel_catalan import weight
+from hankel_catalan import cli, weight
 from hankel_catalan.cli import build_parser, main
+from hankel_catalan.hankel import _carriers
 from hankel_catalan.opoly import chain_coeffs, stieltjes_from_moments
-from hankel_catalan.sequences import a_sequence
+from hankel_catalan.sequences import a_sequence, scaled_terms
 from hankel_catalan.verify import ROUTES
 
 
@@ -65,11 +67,19 @@ def test_hankel_single_route(capsys):
     assert out.splitlines()[1].startswith("1,2,2,2,2")
 
 
-def test_a_mismatched_row_prints_each_route_value(capsys, monkeypatch):
-    from hankel_catalan import verify
+def _patch_the_last_closed_norm(monkeypatch):
+    # the closed route's h_n becomes 1/3: its last norm is 1/3 over h_{n-1} (1/60 at L = 2, n = 3)
+    closed = ROUTES["closed"]
 
-    closed = verify.h_closed_forms
-    monkeypatch.setitem(verify.ROUTES, "closed", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
+    def patched(L, n):
+        norms = closed(L, n)
+        return norms[:-1] + [Fraction(1, 3) / math.prod(norms[:-1])]
+
+    monkeypatch.setitem(ROUTES, "closed", patched)
+
+
+def test_a_mismatched_row_prints_each_route_value(capsys, monkeypatch):
+    _patch_the_last_closed_norm(monkeypatch)
     code, out = run(capsys, ["hankel", "--L", "2", "--n", "3", "--format", "json"])
     assert code == 2
     rows = [json.loads(line) for line in out.splitlines()]
@@ -105,11 +115,8 @@ def test_verify_reports_a_fibonacci_mismatch(capsys, monkeypatch):
 
 
 def test_a_route_mismatch_is_reported_before_a_fibonacci_mismatch(capsys, monkeypatch):
-    from hankel_catalan import verify
-
     _break_odd_fibonacci(monkeypatch)
-    closed = verify.h_closed_forms
-    monkeypatch.setitem(verify.ROUTES, "closed", lambda L, n: closed(L, n)[:-1] + [Fraction(1, 3)])
+    _patch_the_last_closed_norm(monkeypatch)
     code, out = run(capsys, ["verify", "--L", "1,2", "--n-max", "3", "--format", "json"])
     assert code == 2
     assert json.loads(out.splitlines()[-1])["first_mismatch"] == {
@@ -403,24 +410,59 @@ def test_quad_passes_at_100_moments_without_numpy(monkeypatch, capsys):
         ["series", "--L", "2", "--terms", "100000000"],
         ["hankel", "--L", "2", "--n", "300000000", "--method", "closed"],
         ["recurrence", "--L", "2", "--n", "100000000", "--method", "moments"],
+        # below the size bound under the cap: these reach the MemoryError handler
+        ["seq", "--L", "2", "--n", "60000"],
+        ["hankel", "--L", "2", "--n", "60000", "--method", "closed"],
     ],
 )
 def test_a_size_past_memory_is_a_one_line_error(argv):
     def cap():  # runs in the child, before the interpreter starts
         resource.setrlimit(resource.RLIMIT_AS, (300_000_000, 300_000_000))
 
+    _assert_out_of_memory(argv, cap, timeout=120)
+
+
+def _assert_out_of_memory(argv, preexec_fn, timeout):
     src = str(Path(hankel_catalan.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-m", "hankel_catalan.cli", *argv],
         env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=cap,
+        preexec_fn=preexec_fn,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
     assert child.returncode == 1
     assert child.stdout == ""
     assert child.stderr == "hankel-catalan: error: not enough memory for these sizes\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hankel", "--L", "2", "--n", "99999999999999999999", "--method", "closed"],
+        ["seq", "--L", "2", "--n", str(10**22)],
+        ["verify", "--L", "1..1", "--n-max", str(10**23)],
+    ],
+)
+def test_a_size_that_cannot_fit_exits_at_once(argv):
+    _assert_out_of_memory(argv, None, timeout=10)
+
+
+@pytest.mark.parametrize(
+    "L", [Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), 1, 2, 10, 100, 1000]
+)
+def test_the_size_bound_is_below_the_bits_of_every_row(monkeypatch, L):
+    # a limit of the row's real size passes the check, N^2/16 bytes less one does not
+    for N in (20, 60, 200):
+        P, Y = _carriers(Fraction(L), N)
+        real = min(sum(x.bit_length() for x in row) for row in (scaled_terms(L, N), P, Y)) // 8
+        args = build_parser().parse_args(["hankel", "--L", str(L), "--n", str(N)])
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (real, real))
+        cli._check_size(args)
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (N * N // 16 - 1, N * N // 16 - 1))
+        with pytest.raises(MemoryError):
+            cli._check_size(args)
 
 
 _NUMBER = st.integers(-3, 15).map(str)

@@ -11,18 +11,20 @@ from hankel_catalan.hankel import (
     SurdState,
     ZeroLeadingMinor,
     _bareiss,
+    _minors,
+    closed_norms,
     h_closed_form,
-    h_closed_forms,
     h_polynomial_form,
-    h_polynomial_forms,
     hankel_det,
     hankel_minors,
     lemma_identities,
     odd_fibonacci,
+    poly_norms,
     surd_states,
 )
 from hankel_catalan.opoly import tilde_coeffs
 from hankel_catalan.sequences import a_sequence, gen_catalan
+from hankel_catalan.verify import verify_row
 
 
 def naive_det(rows):
@@ -188,15 +190,20 @@ def test_closed_equals_polynomial(L):
 
 @pytest.mark.parametrize("L", [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)])
 def test_polynomial_row_matches_single_values_and_closed_row(L):
-    row = h_polynomial_forms(L, 30)
-    assert row == h_closed_forms(L, 30)
-    assert row[:12] == [h_polynomial_form(L, n) for n in range(1, 13)]
-    assert h_polynomial_forms(L, 0) == []
+    row = poly_norms(L, 30)
+    assert row == closed_norms(L, 30)
+    assert _minors(row)[:12] == [h_polynomial_form(L, n) for n in range(1, 13)]
+    assert poly_norms(L, 0) == []
+
+
+@pytest.mark.parametrize("L", [1, 2, Fraction(5, 2), Fraction(1, 3), 8, Fraction(37, 91)])
+def test_the_paper_formula_is_the_running_product_of_the_closed_norms(L):
+    assert _minors(closed_norms(L, 60)) == [h_closed_form(L, n) for n in range(1, 61)]
 
 
 def test_fibonacci_transform():
     for n in (1, 5, 20):
-        assert h_closed_forms(1, n) == odd_fibonacci(n)
+        assert _minors(closed_norms(1, n)) == odd_fibonacci(n)
     assert [h_closed_form(1, n) for n in range(1, 6)] == [2, 5, 13, 34, 89]
     # independent recurrence oracle
     fib = [0, 1]
@@ -234,6 +241,7 @@ def test_no_integrality_warning_for_integer_parameters():
         for L in range(1, 5):
             for n in range(26):
                 h_closed_form(L, n)
+            verify_row(L, 25)  # the integrality check runs on every route's h row
 
 
 # -- the integer carrier kernel against plain Fraction arithmetic ------------
@@ -281,4 +289,4 @@ def test_tilde_coeffs_match_the_psihat_ratios(L, n_max):
 @example(L=Fraction(37, 91), n_max=30)
 @example(L=Fraction(7), n_max=30)
 def test_closed_forms_match_the_polynomial_forms(L, n_max):
-    assert h_closed_forms(L, n_max) == h_polynomial_forms(L, n_max)
+    assert closed_norms(L, n_max) == poly_norms(L, n_max)

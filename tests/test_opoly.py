@@ -10,28 +10,28 @@ from hankel_catalan import opoly
 from hankel_catalan.hankel import (
     InsufficientTerms,
     ZeroLeadingMinor,
+    _minors,
+    closed_norms,
     h_closed_form,
-    h_closed_forms,
     h_polynomial_form,
-    h_polynomial_forms,
     hankel_det,
     hankel_minors,
+    poly_norms,
     surd_states,
 )
 from hankel_catalan.opoly import (
     DivisionByZeroR,
     RecurrenceCoeffs,
     chain_coeffs,
-    chain_products,
+    chain_norms,
     h_from_products,
     hat_stage,
     jfraction_series,
     lambda_closed,
-    norm_closed_form,
     r_closed_form,
     stieltjes_from_moments,
     tilde_coeffs,
-    window_minors,
+    window_norms,
 )
 from hankel_catalan.sequences import a_sequence, gen_catalan, integer_window, scaled_terms
 from hankel_catalan.weight import exact_moments, moment_quadrature
@@ -279,9 +279,9 @@ _COEFFS = chain_coeffs(2, 3)[0]
         pytest.param(lambda: exact_moments(2, -1), id="exact_moments"),
         pytest.param(lambda: stieltjes_from_moments(a_sequence(2, 5), -1), id="stieltjes_from_moments"),
         pytest.param(lambda: surd_states(2, -1), id="surd_states"),
-        pytest.param(lambda: chain_products(2, -1), id="chain_products"),
+        pytest.param(lambda: chain_norms(2, -1), id="chain_norms"),
         pytest.param(lambda: chain_coeffs(2, -1), id="chain_coeffs"),
-        pytest.param(lambda: window_minors(2, -1), id="window_minors"),
+        pytest.param(lambda: window_norms(2, -1), id="window_norms"),
         pytest.param(lambda: opoly.chain_pairs(2, -1), id="chain_pairs"),
         pytest.param(lambda: opoly.window_pairs(2, -1), id="window_pairs"),
     ],
@@ -293,7 +293,7 @@ def test_a_negative_size_is_rejected(call):
 
 @pytest.mark.parametrize("L", [1, Fraction(37, 91)])
 def test_every_row_is_empty_at_size_zero(L):
-    assert window_minors(L, 0) == h_closed_forms(L, 0) == chain_products(L, 0) == h_polynomial_forms(L, 0) == []
+    assert window_norms(L, 0) == closed_norms(L, 0) == chain_norms(L, 0) == poly_norms(L, 0) == []
     coeffs, r = chain_coeffs(L, 0)
     assert coeffs == RecurrenceCoeffs(alpha=(), beta=())
     assert r == (-(L + 1),)
@@ -310,16 +310,15 @@ def test_h_from_products_values():
     assert h_from_products(coeffs2, 5) == 405504
 
 
-def test_norm_closed_form_values():
-    assert norm_closed_form(4, 3) == Fraction(1088, 13)
-    assert norm_closed_form(4, 2) == Fraction(104, 5)
-    assert norm_closed_form(4, 1) == 5
+def test_closed_norms_values():
+    assert closed_norms(4, 3) == [5, Fraction(104, 5), Fraction(1088, 13)]
 
 
 @pytest.mark.parametrize("L", [2, 3, Fraction(5, 2)])
 def test_norm_is_transform_ratio(L):
+    norms = closed_norms(L, 12)
     for n in range(1, 13):
-        assert norm_closed_form(L, n) == h_closed_form(L, n) / h_closed_form(L, n - 1)
+        assert norms[n - 1] == h_closed_form(L, n) / h_closed_form(L, n - 1)
 
 
 def test_norms_positive():
@@ -475,8 +474,8 @@ def test_chain_kernel_matches_the_fraction_loop(L, n_max):
 @example(L=Fraction(37, 91), n_max=30)
 def test_product_and_det_rows_match_the_bareiss_oracle(L, n_max):
     minors = hankel_minors(a_sequence(L, 2 * n_max - 2), n_max)
-    assert chain_products(L, n_max) == minors
-    assert window_minors(L, n_max) == minors
+    assert _minors(chain_norms(L, n_max)) == minors
+    assert _minors(window_norms(L, n_max)) == minors
 
 
 @pytest.mark.parametrize("L", [1, Fraction(5, 2), Fraction(37, 91), Fraction(10**4, 9999)])
@@ -512,14 +511,14 @@ def test_a_nonpositive_beta_raises_on_every_chain_path(monkeypatch):
     # the breve mass L(L+2) = 3, so alpha~_0 = -3/2 makes beta_1 negative
     monkeypatch.setattr(opoly, "_tilde_pairs", lambda L, n_max: ([(-3, 2), (0, 1)], [(1, 1)]))
     with pytest.raises(ValueError, match="all beta must be positive"):
-        chain_products(1, 2)
+        chain_norms(1, 2)
 
 
 def test_the_det_route_reports_a_vanishing_minor(monkeypatch):
     # h_1 = 1, h_2 = 1 * 1 - 1 * 1 = 0
     monkeypatch.setattr(opoly, "scaled_terms", lambda L, n_max: [1, 1, 1])
     with pytest.raises(ZeroLeadingMinor, match=r"U\[Q_1\^2\] = 0"):
-        window_minors(1, 2)
+        window_norms(1, 2)
 
 
 def test_the_moments_side_rejects_a_nonpositive_beta(monkeypatch):

@@ -13,13 +13,14 @@ from hankel_catalan.hankel import (
     InsufficientTerms,
     NonIntegerResult,
     ZeroLeadingMinor,
+    _minors,
+    closed_norms,
     h_closed_form,
-    h_closed_forms,
     hankel_det,
     hankel_minors,
     odd_fibonacci,
 )
-from hankel_catalan.opoly import chain_coeffs, chain_products, h_from_products
+from hankel_catalan.opoly import chain_coeffs, chain_norms, h_from_products
 from hankel_catalan.sequences import SequenceParams, SequenceWindow, a_sequence
 from hankel_catalan.series import TruncatedSeries
 from hankel_catalan.verify import ROUTES, verify_cell, verify_grid, verify_row
@@ -50,9 +51,9 @@ def test_row_pass_matches_cell_by_cell(L):
 @pytest.mark.parametrize("L", ROW_L)
 def test_row_helpers_match_their_single_value_forms(L):
     coeffs, _ = chain_coeffs(L, 12)
-    assert chain_products(L, 12) == [h_from_products(coeffs, n) for n in range(1, 13)]
-    assert h_closed_forms(L, 12) == [h_closed_form(L, n) for n in range(1, 13)]
-    assert chain_products(L, 0) == h_closed_forms(L, 0) == hankel_minors(a_sequence(L, 0), 0) == []
+    assert _minors(chain_norms(L, 12)) == [h_from_products(coeffs, n) for n in range(1, 13)]
+    assert _minors(closed_norms(L, 12)) == [h_closed_form(L, n) for n in range(1, 13)]
+    assert chain_norms(L, 0) == closed_norms(L, 0) == hankel_minors(a_sequence(L, 0), 0) == []
 
 
 def test_vanishing_leading_minor_raises():
@@ -82,12 +83,12 @@ def test_row_and_cell_closed_forms_share_the_integrality_warning(monkeypatch):
 
     monkeypatch.setattr(hankel, "_carriers", broken_carriers)
     with pytest.warns(NonIntegerResult):
-        h_closed_form(3, 2)
+        verify_cell(3, 2)
     with pytest.warns(NonIntegerResult):
-        h_closed_forms(3, 2)
+        verify_row(3, 2, ("closed",))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h_closed_forms(Fraction(1, 3), 2)  # rational L may give fractions
+        verify_row(Fraction(1, 3), 2, ("closed",))  # rational L may give fractions
 
 
 def test_routes_subset_and_grid_order():
@@ -170,7 +171,38 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 )
 def test_det_column_matches_the_bareiss_oracle(L, N):
     Lf = Fraction(L)
-    assert ROUTES["det"](Lf, N) == hankel_minors(a_sequence(Lf, 2 * N - 2), N)
+    assert _minors(ROUTES["det"](Lf, N)) == hankel_minors(a_sequence(Lf, 2 * N - 2), N)
+
+
+@pytest.mark.parametrize("L", ROW_L)
+def test_every_norm_row_multiplies_out_to_the_bareiss_minors(L):
+    N = 60
+    minors = hankel_minors(a_sequence(L, 2 * N - 2), N)
+    for name, row in ROUTES.items():
+        assert _minors(row(Fraction(L), N)) == minors, name
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_patched_norm_splits_the_row_at_its_index(monkeypatch, route):
+    L, N, k = Fraction(5, 2), 12, 5
+    real = ROUTES[route]
+
+    def patched(L, n_max):
+        # nu_k doubled and nu_{k+2} halved: h_{k+1} and h_{k+2} differ, h_{k+3} on agree again
+        norms = real(L, n_max)
+        norms[k] *= 2
+        norms[k + 2] /= 2
+        return norms
+
+    monkeypatch.setitem(ROUTES, route, patched)
+    own = {name: _minors(row(L, N)) for name, row in ROUTES.items()}
+    reports = verify_row(L, N)
+    assert all(report.agree for report in reports[:k])
+    assert not reports[k].agree
+    for report in reports:
+        assert report.values == {name: h[report.n - 1] for name, h in own.items()}
+        assert report.agree == all(h[report.n - 1] == own["det"][report.n - 1] for h in own.values())
+    assert [report.agree for report in reports] == [n <= k or n > k + 2 for n in range(1, N + 1)]
 
 
 def test_every_route_agrees_at_n_160():
