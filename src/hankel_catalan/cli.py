@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,13 +35,12 @@ EXIT_MISMATCH = 2
 _WIDE = Context(Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-@dataclass
 class CommandResult:
-    command: str
-    params: dict[str, str]
-    rows: list[dict[str, object]] = field(default_factory=list)
-    summary: dict[str, object] = field(default_factory=dict)
-    status: str = "ok"
+    def __init__(self, command: str, params: dict[str, str]):
+        self.command, self.params = command, params
+        self.rows: list[dict[str, object]] = []
+        self.summary: dict[str, object] = {}
+        self.status = "ok"
 
     def mismatch(self, detail: dict[str, object]) -> None:
         """Record a disagreement; only the first one recorded is reported."""
@@ -73,8 +71,8 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _l_range(text: str) -> list[Fraction]:
-    """A span 'a..b' over integers, or a comma-separated list of rationals."""
+def _l_range(text: str) -> range | list[Fraction]:
+    """A span 'a..b' over integers, as a range, or a comma-separated list of rationals."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
@@ -83,7 +81,7 @@ def _l_range(text: str) -> list[Fraction]:
             raise argparse.ArgumentTypeError(f"bad span: {text!r}")
         if lo < 1 or hi < lo:
             raise argparse.ArgumentTypeError(f"bad span: {text!r}")
-        return [Fraction(v) for v in range(lo, hi + 1)]
+        return range(lo, hi + 1)
     return [_positive_rational(part) for part in text.split(",")]
 
 
@@ -140,7 +138,7 @@ def _params(args: argparse.Namespace) -> dict[str, str]:
     """Every parsed option but the subcommand and the format, as text."""
 
     def text(value: object) -> str:
-        if isinstance(value, list):
+        if isinstance(value, (list, range)):
             return ",".join(map(str, value))
         return f"{value:g}" if isinstance(value, float) else str(value)
 
@@ -338,16 +336,20 @@ def render(result: CommandResult, fmt: str) -> None:
 def _check_size(args: argparse.Namespace) -> None:
     """Raise MemoryError at once for a size that cannot fit: every command but
     quad holds a row of N + 1 exact integers, at least N^2/2 bits for any L
-    (one row per L for verify), against RLIMIT_AS, else physical memory."""
+    (one row per L for verify, plus 1000 bytes of records per cell), against
+    RLIMIT_AS, else physical memory."""
     if args.command == "quad":
         return
     import resource  # here, not at start-up
     size = max(getattr(args, {"verify": "n_max", "series": "terms"}.get(args.command, "n")), 0)
-    rows = len(args.L) if args.command == "verify" else 1
+    rows, row_bytes = 1, size * size // 16
+    if args.command == "verify":  # a span is counted, not built: len() stops at sys.maxsize
+        rows = args.L.stop - args.L.start if isinstance(args.L, range) else len(args.L)
+        row_bytes += size * 1000  # a cell's report and rows: 1.01-1.27 KB measured, CPython 3.10-3.13
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit == resource.RLIM_INFINITY:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if rows * size * size // 16 > limit:
+    if rows * row_bytes > limit:
         raise MemoryError
 
 
@@ -368,9 +370,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    result = CommandResult(args.command, _params(args))
     try:
-        _check_size(args)
+        _check_size(args)  # before _params, which writes out a span
+        result = CommandResult(args.command, _params(args))
         COMMANDS[args.command](args, result)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ error, not a rounding problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .sequences import RationalLike, as_rational, pascal_t
 from .series import TruncatedSeries
@@ -23,16 +23,20 @@ class PoleNotCancelled(ArithmeticError):
     """The generating-function pole failed to cancel exactly."""
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Jacobi parameter pair (a, b); only small nonnegative integers are used."""
-
+class _JacobiParams(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+
+class JacobiParams(_JacobiParams):
+    """Jacobi parameter pair (a, b); only small nonnegative integers are used."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if a < 0 or b < 0:
             raise ValueError("Jacobi parameters must be nonnegative integers")
+        return super().__new__(cls, a, b)
 
 
 def jacobi_poly(n: int, p: JacobiParams, x: RationalLike) -> Fraction:

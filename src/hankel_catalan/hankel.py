@@ -18,11 +18,10 @@ and h is their running product (_minors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .sequences import RationalLike, Window, as_rational, integer_window, window_terms
 
@@ -117,8 +116,7 @@ def hankel_minors(seq: Window, n_max: int) -> list[Fraction]:
 # -- integer carriers of the surd closed form --------------------------------
 
 
-@dataclass(frozen=True)
-class SurdState:
+class SurdState(NamedTuple):
     """Power sums of the characteristic roots t_{1,2} = L+2 +- sqrt(L^2+4).
 
     phi = t1^n + t2^n, psihat = (t1^n - t2^n)/sqrt(L^2+4), and

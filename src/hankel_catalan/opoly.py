@@ -39,10 +39,9 @@ compares and prints the pairs of chain_pairs and window_pairs directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .hankel import InsufficientTerms, ZeroLeadingMinor, _carriers, _minors, surd_states
 from .sequences import RationalLike, Window, as_rational, integer_window, scaled_terms, window_terms
@@ -63,8 +62,12 @@ def _positive(beta: Iterable) -> None:
         raise ValueError("all beta must be positive for a positive-definite functional")
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
+class _RecurrenceCoeffs(NamedTuple):
+    alpha: tuple
+    beta: tuple
+
+
+class RecurrenceCoeffs(_RecurrenceCoeffs):
     """Monic three-term recurrence data: Q_{n+1} = (x - alpha_n) Q_n - beta_n Q_{n-1}.
 
     The one coefficient record, at every stage of the chain and from the
@@ -73,13 +76,13 @@ class RecurrenceCoeffs:
     (= a_0 for the sequence's own; tilde_coeffs keeps it divided by pi).
     """
 
-    alpha: tuple
-    beta: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.alpha) != len(self.beta):
+    def __new__(cls, alpha: tuple, beta: tuple):
+        if len(alpha) != len(beta):
             raise ValueError("alpha and beta must have equal length")
-        _positive(self.beta)
+        _positive(beta)
+        return super().__new__(cls, alpha, beta)
 
 
 def _coeffs(alpha: Iterable[Pair], beta: Iterable[Pair]) -> RecurrenceCoeffs:

@@ -9,11 +9,10 @@ under study is a_n = c(n; L) + c(n+1; L) with a_0 = L + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -50,19 +49,22 @@ def gen_catalan(n: int, L: RationalLike) -> Fraction:
     return pascal_t(2 * n, n, L) - pascal_t(2 * n, n - 1, L)
 
 
-@dataclass(frozen=True)
-class SequenceParams:
-    """The weight parameter L; any positive rational is accepted."""
-
+class _SequenceParams(NamedTuple):
     L: Fraction
 
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"parameter L must be positive, got {self.L}")
+
+class SequenceParams(_SequenceParams):
+    """The weight parameter L; any positive rational is accepted."""
+
+    __slots__ = ()
+
+    def __new__(cls, L: Fraction):
+        if L <= 0:
+            raise ValueError(f"parameter L must be positive, got {L}")
+        return super().__new__(cls, L)
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
+class SequenceWindow(NamedTuple):
     """Terms a_0 .. a_n_max of the sum-of-consecutive-Catalan sequence."""
 
     params: SequenceParams

@@ -16,9 +16,8 @@ own. Reports are sorted by (L, n).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .hankel import NonIntegerResult, _minors, closed_norms, poly_norms
 from .opoly import chain_norms, window_norms
@@ -33,8 +32,7 @@ ROUTES = {
 }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-(L, n) record: each computed route's value, keyed in ROUTES order."""
 
     L: Fraction

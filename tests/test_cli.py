@@ -413,6 +413,8 @@ def test_quad_passes_at_100_moments_without_numpy(monkeypatch, capsys):
         # below the size bound under the cap: these reach the MemoryError handler
         ["seq", "--L", "2", "--n", "60000"],
         ["hankel", "--L", "2", "--n", "60000", "--method", "closed"],
+        # a span is counted before it is built, at 1 KB per cell
+        ["verify", "--L", "1..100000000000", "--n-max", "1"],
     ],
 )
 def test_a_size_past_memory_is_a_one_line_error(argv):
@@ -443,6 +445,8 @@ def _assert_out_of_memory(argv, preexec_fn, timeout):
         ["hankel", "--L", "2", "--n", "99999999999999999999", "--method", "closed"],
         ["seq", "--L", "2", "--n", str(10**22)],
         ["verify", "--L", "1..1", "--n-max", str(10**23)],
+        ["verify", "--L", "1..100000000000", "--n-max", "1"],
+        ["verify", "--L", f"1..{10**30}", "--n-max", "1"],  # past sys.maxsize, where len() fails
     ],
 )
 def test_a_size_that_cannot_fit_exits_at_once(argv):
@@ -517,14 +521,16 @@ def test_any_argv_exits_by_the_contract(capsys, argv):
     assert code in (0, 1, 2)
 
 
-def test_start_up_leaves_numpy_unimported():
+def test_start_up_imports_neither_numpy_nor_dataclasses():
+    # dataclasses alone pulls in inspect, ast and dis: about a third of start-up
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import hankel_catalan.cli as cli; "
-        "cli.build_parser(); print('numpy' in sys.modules)"
+        "cli.build_parser(); print(*(m for m in sys.argv[2:] if m in sys.modules))"
     )
     src = str(Path(hankel_catalan.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
-    assert child.stdout.strip() == "False"
+    unwanted = ["numpy", "dataclasses", "inspect", "ast", "dis"]
+    child = subprocess.run([sys.executable, "-c", code, src, *unwanted], capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == ""
 
 
 def test_a_reader_that_closes_the_pipe_keeps_the_verdict():

@@ -412,7 +412,8 @@ def test_integer_rows_match_the_fraction_pass_on_random_moments():
         expected = outcome(fraction_chebyshev, moments, n)
         assert outcome(stieltjes_from_moments, moments, n) == expected
         assert outcome(stieltjes_from_moments, [str(a) for a in moments], n) == expected
-        outcomes.add(expected[0] if isinstance(expected, tuple) else RecurrenceCoeffs)
+        # a RecurrenceCoeffs is a named tuple too, so test for it and not for tuple
+        outcomes.add(RecurrenceCoeffs if isinstance(expected, RecurrenceCoeffs) else expected[0])
         # the norms' running products are the leading minors, indefinite or
         # not; the k-th norm of the integer window is s t^{2k} U[Q_k^2]
         minors = [hankel_det(moments, j) for j in range(1, n + 1)]
